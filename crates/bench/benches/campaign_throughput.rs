@@ -2,15 +2,15 @@
 //!
 //! Runs Fig.-9-style campaigns (Tiny, AR20, 120 SEU trials) through
 //! [`rskip_harness::throughput`]: each benchmark is measured serially
-//! under every [`ExecTier`] (`match`, `threaded-nofuse`, `threaded`),
+//! under every [`ExecTier`] (`match`, `threaded`),
 //! with the tiers asserted trial-identical before any number is
 //! published. The parallel worker-pool speedup and the persistent model
 //! store's warm-start effectiveness are measured for the first benchmark
 //! as before. Everything lands in `results/BENCH_campaign.json`:
 //!
 //! * `benchmarks[]` — per-tier secs/campaign, trials/sec and speedup vs
-//!   `match`, plus the static superinstruction-fusion counts and the
-//!   decoded-unit cache activity behind the threaded tier's numbers;
+//!   `match`, plus the decoded-unit cache activity behind the threaded
+//!   tier's numbers;
 //! * `parallel` — serial vs worker-pool throughput (bounded by
 //!   `hardware_threads`; on a single-core host they coincide);
 //! * `model_store` — cold vs warm preparation through the store.
@@ -63,8 +63,8 @@ const REPS: u32 = 5;
 /// Campaign seed, shared by every benchmark's sweep.
 const SEED0: u64 = 0xBEEF;
 /// The benchmarks swept per tier: the paper's running example plus a
-/// second, branch-heavier kernel so fusion is measured on more than one
-/// instruction mix.
+/// second, branch-heavier kernel so the tiers are compared on more than
+/// one instruction mix.
 const BENCHES: [&str; 2] = ["conv1d", "kde"];
 
 fn timed_campaign(c: &Campaign<'_>, setup: &BenchSetup, threads: usize, reps: u32) -> f64 {

@@ -1,7 +1,7 @@
 //! Pre-decoded module representation: the interpreter's executable form.
 //!
 //! [`Decoded`] pairs a borrowed [`Module`] with an [`Arc`]-shared
-//! [`DecodedUnit`] — the fully owned decode+fusion output. The unit turns
+//! [`DecodedUnit`] — the fully owned decode output. The unit turns
 //! every name- or id-keyed reference into a dense index so the
 //! interpreter's hot loop is pure array indexing:
 //!
@@ -13,9 +13,8 @@
 //!   model never re-classifies;
 //! * per-function register counts and zero-initial register images are
 //!   precomputed, so call frames are a `memcpy` from a pooled allocation;
-//! * the direct-threaded instruction stream ([`crate::threaded`]) and its
-//!   superinstruction fusion overlay are built once alongside the
-//!   match-dispatch form.
+//! * the direct-threaded instruction stream ([`crate::threaded`]) is
+//!   built once alongside the match-dispatch form.
 //!
 //! Units are cached process-wide, keyed by an FNV-1a-64 content hash of
 //! the printed module IR: two structurally identical modules — a campaign
@@ -36,7 +35,7 @@ use rskip_core::digest::fnv1a64;
 use rskip_ir::{BinOp, CmpOp, Inst, Intrinsic, Module, Operand, Reg, Terminator, Ty, UnOp, Value};
 
 use crate::pipeline::{class_of, OpClass};
-use crate::threaded::ThreadedModule;
+use crate::threaded::TFunc;
 
 /// A module lowered to the interpreter's dense executable form.
 ///
@@ -49,7 +48,7 @@ pub struct Decoded<'m> {
     pub(crate) unit: Arc<DecodedUnit>,
 }
 
-/// The owned decode+fusion output shared through the process-wide cache.
+/// The owned decode output shared through the process-wide cache.
 ///
 /// Public only as the [`Deref`](std::ops::Deref) target of [`Decoded`];
 /// all fields are crate-private.
@@ -59,8 +58,8 @@ pub struct DecodedUnit {
     pub(crate) global_base: Box<[i64]>,
     /// Name → function index; used only for cold entry-point lookup.
     pub(crate) fn_index: HashMap<String, usize>,
-    /// The direct-threaded instruction stream (fusion overlay included).
-    pub(crate) threaded: ThreadedModule,
+    /// The direct-threaded instruction stream, per function.
+    pub(crate) threaded: Box<[TFunc]>,
 }
 
 pub(crate) struct DFunc {
@@ -156,7 +155,7 @@ pub(crate) enum DTerm {
 pub struct DecodeCacheStats {
     /// Lookups served from an already-built unit.
     pub hits: u64,
-    /// Lookups that had to decode (and fuse) from scratch.
+    /// Lookups that had to decode from scratch.
     pub misses: u64,
 }
 
@@ -186,7 +185,7 @@ pub fn decode_cache_stats() -> DecodeCacheStats {
 }
 
 impl<'m> Decoded<'m> {
-    /// Lowers `module` to its executable form, sharing the decode+fusion
+    /// Lowers `module` to its executable form, sharing the decode
     /// output through the process-wide content-hash cache.
     pub fn new(module: &'m Module) -> Self {
         let key = fnv1a64(rskip_ir::print_module(module).as_bytes());
@@ -220,12 +219,6 @@ impl<'m> Decoded<'m> {
     /// Function index by name (cold path: entry-point resolution).
     pub fn function_index(&self, name: &str) -> Option<usize> {
         self.unit.fn_index.get(name).copied()
-    }
-
-    /// Static superinstruction-fusion statistics of this decode.
-    #[must_use]
-    pub fn fusion_stats(&self) -> crate::fuse::FusionStats {
-        self.unit.threaded.fusion
     }
 }
 

@@ -5,9 +5,11 @@
 //! enumeration and the lint contract can also reason about multi-bit
 //! bursts and instruction-skip faults (Moro et al., arXiv 1402.6461).
 
-use rskip_ir::{BlockId, Reg, Value};
+use rskip_ir::{BlockId, Module, Reg, Value};
 use serde::Serialize;
 
+use crate::counters::Counters;
+use crate::decoded::{DFunc, DInst};
 use crate::machine::{RunOutcome, Termination, Trap};
 
 pub use rskip_core::stats::OutcomeClass;
@@ -102,6 +104,194 @@ pub(crate) fn burst_window(start: u32, width: u32) -> (u32, u32, u64) {
     let s = start.min(64 - w);
     let mask = if w == 64 { !0 } else { ((1u64 << w) - 1) << s };
     (s, w, mask)
+}
+
+/// An armed fault for the next run: a random draw from a fault model, a
+/// deterministic exact fault, or a strike against the prediction
+/// runtime's own metadata.
+pub(crate) enum ArmedFault {
+    Random(InjectionPlan),
+    Exact(ExactFault),
+    RuntimeState { trigger: u64, seed: u64 },
+}
+
+impl ArmedFault {
+    /// Whether the fault fires at the instruction boundary described by
+    /// the run's counters, region nesting and boundary count.
+    pub(crate) fn due(&self, counters: &Counters, region_depth: u32, boundary: u64) -> bool {
+        match self {
+            ArmedFault::Random(plan) => {
+                if plan.anywhere {
+                    counters.retired >= plan.trigger
+                } else {
+                    region_depth > 0 && counters.region_retired >= plan.trigger
+                }
+            }
+            ArmedFault::Exact(fault) => boundary >= fault.at,
+            // The runtime's own metadata outlives region activations (the
+            // pending queue, for one, drains in the post-exit flush
+            // recheck), so once the trigger count is reached the strike
+            // may land at any boundary, in or out of a region.
+            ArmedFault::RuntimeState { trigger, .. } => counters.region_retired >= *trigger,
+        }
+    }
+
+    /// Whether the fault swallows an instruction instead of corrupting a
+    /// register.
+    pub(crate) fn is_skip(&self) -> bool {
+        matches!(
+            self,
+            ArmedFault::Random(InjectionPlan {
+                model: FaultModel::InstructionSkip,
+                ..
+            }) | ArmedFault::Exact(ExactFault {
+                kind: ExactFaultKind::Skip,
+                ..
+            })
+        )
+    }
+}
+
+/// A tier's live call frames as the register injectors see them. Frame 0
+/// is the outermost; the last frame is the running one.
+pub(crate) trait FaultFrames {
+    /// Number of live frames.
+    fn depth(&self) -> usize;
+    /// Which registers of frame `fi` have been written.
+    fn written(&self, fi: usize) -> &[bool];
+    /// Register `ri` of frame `fi`.
+    fn reg_mut(&mut self, fi: usize, ri: usize) -> &mut Value;
+    /// Frame `fi`'s `(function, block, ip)`: its function index and the
+    /// program point it executes next.
+    fn point(&self, fi: usize) -> (u32, u32, u32);
+}
+
+/// Applies the random register effect of `plan.model` (SEU bit flip or
+/// burst) to one random live register. Skip faults never reach here —
+/// each tier fires them itself.
+pub(crate) fn inject_random(
+    module: &Module,
+    plan: &InjectionPlan,
+    frames: &mut (impl FaultFrames + ?Sized),
+    at_retired: u64,
+) -> Option<InjectionRecord> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(plan.seed);
+
+    // Gather live (written) registers across all active frames — the
+    // architectural register file is shared state on real hardware.
+    let mut targets: Vec<(usize, usize)> = Vec::new();
+    for fi in 0..frames.depth() {
+        for (ri, &w) in frames.written(fi).iter().enumerate() {
+            if w {
+                targets.push((fi, ri));
+            }
+        }
+    }
+    if targets.is_empty() {
+        return None;
+    }
+    // The target draw precedes the effect draw for every model, so the
+    // SEU stream (and with it every pre-existing campaign golden) is
+    // unchanged by the generalization.
+    let (fi, ri) = targets[rng.gen_range(0..targets.len())];
+    let reg = Reg(ri as u32);
+    let kind = match plan.model {
+        FaultModel::InstructionSkip => unreachable!("skip faults fire through the tier"),
+        FaultModel::SingleBitSeu => ExactFaultKind::BitFlip {
+            reg,
+            bit: rng.gen_range(0..64u32),
+        },
+        FaultModel::MultiBitBurst { width } => {
+            let width = width.clamp(1, 64);
+            ExactFaultKind::Burst {
+                reg,
+                start: rng.gen_range(0..(65 - width)),
+                width,
+            }
+        }
+    };
+    let effect = flip(frames.reg_mut(fi, ri), kind);
+    Some(record(module, frames.point(fi), at_retired, effect))
+}
+
+/// Applies an exact register effect (bit flip or burst) in the running
+/// frame, or does nothing if that register has not been written yet (a
+/// fault in a never-written register is architecturally invisible: the
+/// verifier guarantees such registers are never read on this path).
+/// Skip faults never reach here — each tier fires them itself.
+pub(crate) fn inject_exact(
+    module: &Module,
+    fault: &ExactFault,
+    frames: &mut (impl FaultFrames + ?Sized),
+    at_retired: u64,
+) -> Option<InjectionRecord> {
+    let fi = frames.depth().checked_sub(1)?;
+    let reg = match fault.kind {
+        ExactFaultKind::BitFlip { reg, .. } | ExactFaultKind::Burst { reg, .. } => reg,
+        ExactFaultKind::Skip => unreachable!("skip faults fire through the tier"),
+    };
+    let ri = reg.index();
+    if !frames.written(fi).get(ri).copied().unwrap_or(false) {
+        return None;
+    }
+    let effect = flip(frames.reg_mut(fi, ri), fault.kind);
+    Some(record(module, frames.point(fi), at_retired, effect))
+}
+
+/// Flips the bits `kind` names in `slot` and describes what changed.
+fn flip(slot: &mut Value, kind: ExactFaultKind) -> FaultEffect {
+    let old = *slot;
+    match kind {
+        ExactFaultKind::BitFlip { reg, bit } => {
+            *slot = old.with_bits_flipped(1u64 << bit.min(63));
+            FaultEffect::BitFlip {
+                reg,
+                bit,
+                old_bits: old.bits(),
+                new_bits: slot.bits(),
+            }
+        }
+        ExactFaultKind::Burst { reg, start, width } => {
+            let (start, width, mask) = burst_window(start, width);
+            *slot = old.with_bits_flipped(mask);
+            FaultEffect::Burst {
+                reg,
+                start,
+                width,
+                old_bits: old.bits(),
+                new_bits: slot.bits(),
+            }
+        }
+        ExactFaultKind::Skip => unreachable!("skips corrupt no register"),
+    }
+}
+
+/// The record of an effect applied to a frame at `(function, block, ip)`.
+pub(crate) fn record(
+    module: &Module,
+    (func, block, ip): (u32, u32, u32),
+    at_retired: u64,
+    effect: FaultEffect,
+) -> InjectionRecord {
+    InjectionRecord {
+        function: module.functions[func as usize].name.clone(),
+        block: BlockId(block),
+        ip: ip as usize,
+        at_retired,
+        effect,
+    }
+}
+
+/// True when the program point `(function, block, ip)` is an intrinsic
+/// call — the one shape a skip fault must hold fire over (the runtime
+/// interface executes host-side; swallowing a call would desync the
+/// runtime's own metadata rather than the emulated program state).
+pub(crate) fn skip_holds_fire(funcs: &[DFunc], (func, block, ip): (u32, u32, u32)) -> bool {
+    funcs[func as usize].blocks[block as usize]
+        .insts
+        .get(ip as usize)
+        .is_some_and(|step| matches!(step.op, DInst::IntrinsicCall { .. }))
 }
 
 /// One armed random fault: at the `trigger`-th retired instruction

@@ -30,8 +30,8 @@
 //!   output errors as bad quality").
 //! * [`ExecTier`] — selectable execution engines over one decode: the
 //!   reference match-dispatch interpreter (semantics oracle) and a
-//!   direct-threaded tier with superinstruction fusion (the default,
-//!   observationally identical, several times faster). Decodes are shared
+//!   direct-threaded tier (the default, observationally identical,
+//!   faster). Decodes are shared
 //!   process-wide through a content-hash cache ([`decode_cache_stats`]).
 
 #![deny(missing_docs)]
@@ -40,7 +40,6 @@ mod counters;
 mod decoded;
 mod enumerate;
 mod fault;
-mod fuse;
 mod hooks;
 mod machine;
 mod pipeline;
@@ -56,7 +55,6 @@ pub use fault::{
     classify_outcome, ExactFault, ExactFaultKind, ExactFlip, FaultEffect, FaultModel,
     InjectionPlan, InjectionRecord, OutcomeClass,
 };
-pub use fuse::FusionStats;
 pub use hooks::{IntrinsicAction, NoopHooks, RuntimeHooks};
 pub use machine::{run_simple, ExecConfig, ExecTier, Machine, RunOutcome, Termination, Trap};
 pub use pipeline::{class_of, latency_of, latency_of_class, OpClass, Pipeline, PipelineConfig};

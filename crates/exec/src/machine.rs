@@ -13,8 +13,8 @@ use crate::counters::Counters;
 use crate::decoded::{DInst, DStep, DTerm, Decoded};
 use crate::enumerate::TraceEntry;
 use crate::fault::{
-    burst_window, ExactFault, ExactFaultKind, ExactFlip, FaultEffect, FaultModel, InjectionPlan,
-    InjectionRecord,
+    inject_exact, inject_random, record, skip_holds_fire, ArmedFault, ExactFault, ExactFlip,
+    FaultEffect, FaultFrames, InjectionPlan, InjectionRecord,
 };
 use crate::hooks::RuntimeHooks;
 use crate::pipeline::{Pipeline, PipelineConfig};
@@ -116,28 +116,25 @@ impl RunOutcome {
 /// * [`ExecTier::Match`] — the reference match-dispatch interpreter in
 ///   this module. Kept as the semantics oracle; traced (census) runs
 ///   always use it.
-/// * [`ExecTier::ThreadedNoFuse`] — direct-threaded dispatch: one
-///   pre-selected handler `fn` pointer per flattened instruction.
-/// * [`ExecTier::Threaded`] — direct-threaded dispatch plus the
-///   decode-time superinstruction fusion overlay. The default.
+/// * [`ExecTier::Threaded`] — direct-threaded dispatch: one pre-selected
+///   handler `fn` pointer per flattened instruction. The default.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecTier {
     /// Reference match-dispatch interpreter (semantics oracle).
     Match,
-    /// Direct-threaded dispatch with fusion disabled.
-    ThreadedNoFuse,
-    /// Direct-threaded dispatch with superinstruction fusion (default).
+    /// Direct-threaded dispatch (default).
     Threaded,
 }
 
 impl ExecTier {
     /// Parses a tier name as used by `--tier` flags and the
-    /// `RSKIP_EXEC_TIER` environment override.
+    /// `RSKIP_EXEC_TIER` environment override. `threaded-nofuse`, the
+    /// name of a since-removed variant of the threaded tier, still parses
+    /// as [`ExecTier::Threaded`].
     pub fn parse(s: &str) -> Option<ExecTier> {
         match s {
             "match" => Some(ExecTier::Match),
-            "threaded-nofuse" => Some(ExecTier::ThreadedNoFuse),
-            "threaded" => Some(ExecTier::Threaded),
+            "threaded" | "threaded-nofuse" => Some(ExecTier::Threaded),
             _ => None,
         }
     }
@@ -147,7 +144,6 @@ impl ExecTier {
     pub fn label(self) -> &'static str {
         match self {
             ExecTier::Match => "match",
-            ExecTier::ThreadedNoFuse => "threaded-nofuse",
             ExecTier::Threaded => "threaded",
         }
     }
@@ -166,7 +162,7 @@ impl ExecTier {
             Ok(s) => ExecTier::parse(&s).unwrap_or_else(|| {
                 panic!(
                     "RSKIP_EXEC_TIER={s:?} is not a tier \
-                     (expected: match | threaded-nofuse | threaded)"
+                     (expected: match | threaded)"
                 )
             }),
             Err(_) => ExecTier::Threaded,
@@ -214,15 +210,6 @@ struct Frame {
     regs: Vec<Value>,
     written: Vec<bool>,
     ready: Vec<u64>,
-}
-
-/// An armed fault for the next run: a random draw from a fault model, a
-/// deterministic exact fault, or a strike against the prediction
-/// runtime's own metadata.
-pub(crate) enum ArmedFault {
-    Random(InjectionPlan),
-    Exact(ExactFault),
-    RuntimeState { trigger: u64, seed: u64 },
 }
 
 /// Either an internally-built decode or one shared by the caller (e.g.
@@ -382,7 +369,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     }
 
     /// Arms random fault injection for the next run. The plan's
-    /// [`FaultModel`] selects the effect sampled at the trigger.
+    /// [`FaultModel`](crate::FaultModel) selects the effect sampled at the trigger.
     pub fn set_injection(&mut self, plan: InjectionPlan) {
         self.injection = Some(ArmedFault::Random(plan));
     }
@@ -610,45 +597,21 @@ fn exec_loop<H: RuntimeHooks>(
 
     let termination = loop {
         // --- Fault injection at the instruction boundary. ---
-        if let Some(armed) = &injection {
-            let due = match armed {
-                ArmedFault::Random(plan) => {
-                    if plan.anywhere {
-                        counters.retired >= plan.trigger
-                    } else {
-                        region_depth > 0 && counters.region_retired >= plan.trigger
-                    }
-                }
-                ArmedFault::Exact(fault) => boundary >= fault.at,
-                // The runtime's own metadata outlives region activations
-                // (the pending queue, for one, drains in the post-exit
-                // flush recheck), so once the trigger count is reached the
-                // strike may land at any boundary, in or out of a region.
-                ArmedFault::RuntimeState { trigger, .. } => counters.region_retired >= *trigger,
-            };
-            if due {
+        if let Some(armed) = injection
+            .as_ref()
+            .filter(|f| f.due(&counters, region_depth, boundary))
+        {
+            match armed {
                 // A skip fault swallows the instruction the boundary is
                 // about to execute; the effect (counters, position) is
                 // applied here and the loop restarts at the next
-                // boundary.
-                let skips = matches!(
-                    armed,
-                    ArmedFault::Random(InjectionPlan {
-                        model: FaultModel::InstructionSkip,
-                        ..
-                    }) | ArmedFault::Exact(ExactFault {
-                        kind: ExactFaultKind::Skip,
-                        ..
-                    })
-                );
-                match armed {
-                    // The skip model strikes architectural instructions
-                    // only; over an intrinsic boundary the fault holds
-                    // fire (fall through, execute the intrinsic) and
-                    // retries at the next boundary, like a runtime-state
-                    // fault with no live target.
-                    _ if skips && skip_target_is_intrinsic(prog, &stack) => {}
-                    _ if skips => {
+                // boundary. It strikes architectural instructions only:
+                // over an intrinsic boundary it holds fire (fall through,
+                // execute the intrinsic) and retries at the next
+                // boundary, like a runtime-state fault with no live
+                // target.
+                _ if armed.is_skip() => {
+                    if !skip_holds_fire(&prog.funcs, point(stack.last().expect("frame"))) {
                         let (record, trap) =
                             fire_skip(prog, &mut stack, &mut counters, &mut boundary, region_depth);
                         injected = Some(record);
@@ -658,22 +621,24 @@ fn exec_loop<H: RuntimeHooks>(
                         }
                         continue;
                     }
-                    ArmedFault::Random(plan) => {
-                        injected = inject(prog, plan, &mut stack, counters.retired);
+                }
+                ArmedFault::Random(plan) => {
+                    injected =
+                        inject_random(prog.module, plan, stack.as_mut_slice(), counters.retired);
+                    injection = None;
+                }
+                ArmedFault::Exact(fault) => {
+                    injected =
+                        inject_exact(prog.module, fault, stack.as_mut_slice(), counters.retired);
+                    injection = None;
+                }
+                ArmedFault::RuntimeState { seed, .. } => {
+                    // The runtime may hold no live state of the chosen
+                    // kind at this boundary; keep the fault armed and
+                    // retry at the next one.
+                    if let Some(site) = hooks.flip_runtime_state(*seed) {
+                        state_injected = Some(site);
                         injection = None;
-                    }
-                    ArmedFault::Exact(fault) => {
-                        injected = inject_exact(prog, fault, &mut stack, counters.retired);
-                        injection = None;
-                    }
-                    ArmedFault::RuntimeState { seed, .. } => {
-                        // The runtime may hold no live state of the chosen
-                        // kind at this boundary; keep the fault armed and
-                        // retry at the next one.
-                        if let Some(site) = hooks.flip_runtime_state(*seed) {
-                            state_injected = Some(site);
-                            injection = None;
-                        }
                     }
                 }
             }
@@ -909,7 +874,7 @@ fn exec_loop<H: RuntimeHooks>(
     }
 }
 
-pub(crate) fn bin_op(ty: Ty, op: BinOp, a: Value, b: Value) -> Result<Value, Trap> {
+fn bin_op(ty: Ty, op: BinOp, a: Value, b: Value) -> Result<Value, Trap> {
     Ok(match ty {
         Ty::I64 => {
             let (x, y) = (a.as_i(), b.as_i());
@@ -976,7 +941,7 @@ pub(crate) fn un_op(ty: Ty, op: UnOp, a: Value) -> Value {
     }
 }
 
-pub(crate) fn cmp_op(ty: Ty, op: CmpOp, a: Value, b: Value) -> bool {
+fn cmp_op(ty: Ty, op: CmpOp, a: Value, b: Value) -> bool {
     match ty {
         Ty::I64 => {
             let (x, y) = (a.as_i(), b.as_i());
@@ -1003,135 +968,27 @@ pub(crate) fn cmp_op(ty: Ty, op: CmpOp, a: Value, b: Value) -> bool {
     }
 }
 
-/// Applies the random register effect of `plan.model` (SEU bit flip or
-/// burst) to one random live register. Skip faults never reach here —
-/// they fire through [`fire_skip`].
-fn inject(
-    prog: &Decoded<'_>,
-    plan: &InjectionPlan,
-    stack: &mut [Frame],
-    at_retired: u64,
-) -> Option<InjectionRecord> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(plan.seed);
-
-    // Gather live (written) registers across all active frames — the
-    // architectural register file is shared state on real hardware.
-    let mut targets: Vec<(usize, usize)> = Vec::new();
-    for (fi, frame) in stack.iter().enumerate() {
-        for (ri, &w) in frame.written.iter().enumerate() {
-            if w {
-                targets.push((fi, ri));
-            }
-        }
-    }
-    if targets.is_empty() {
-        return None;
-    }
-    // The target draw precedes the effect draw for every model, so the
-    // SEU stream (and with it every pre-existing campaign golden) is
-    // unchanged by the generalization.
-    let (fi, ri) = targets[rng.gen_range(0..targets.len())];
-    let old = stack[fi].regs[ri];
-    let (new, effect) = match plan.model {
-        FaultModel::InstructionSkip => unreachable!("skip faults fire through fire_skip"),
-        FaultModel::SingleBitSeu => {
-            let bit = rng.gen_range(0..64u32);
-            let new = old.with_bit_flipped(bit);
-            let effect = FaultEffect::BitFlip {
-                reg: Reg(ri as u32),
-                bit,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            };
-            (new, effect)
-        }
-        FaultModel::MultiBitBurst { width } => {
-            let w = width.clamp(1, 64);
-            let (start, w, mask) = burst_window(rng.gen_range(0..(65 - w)), w);
-            let new = old.with_bits_flipped(mask);
-            let effect = FaultEffect::Burst {
-                reg: Reg(ri as u32),
-                start,
-                width: w,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            };
-            (new, effect)
-        }
-    };
-    stack[fi].regs[ri] = new;
-    Some(InjectionRecord {
-        function: prog.module.functions[stack[fi].func as usize].name.clone(),
-        block: rskip_ir::BlockId(stack[fi].block),
-        ip: stack[fi].ip as usize,
-        at_retired,
-        effect,
-    })
+/// The program point a reference frame executes next.
+fn point(frame: &Frame) -> (u32, u32, u32) {
+    (frame.func, frame.block, frame.ip)
 }
 
-/// Applies the planned register effect (bit flip or burst) in the
-/// innermost frame, or does nothing if that register has not been written
-/// yet (a fault in a never-written register is architecturally invisible:
-/// the verifier guarantees such registers are never read on this path).
-/// Skip faults never reach here — they fire through [`fire_skip`].
-fn inject_exact(
-    prog: &Decoded<'_>,
-    fault: &ExactFault,
-    stack: &mut [Frame],
-    at_retired: u64,
-) -> Option<InjectionRecord> {
-    let frame = stack.last_mut()?;
-    let (reg, mask) = match fault.kind {
-        ExactFaultKind::BitFlip { reg, bit } => (reg, 1u64 << bit.min(63)),
-        ExactFaultKind::Burst { reg, start, width } => (reg, burst_window(start, width).2),
-        ExactFaultKind::Skip => unreachable!("skip faults fire through fire_skip"),
-    };
-    let ri = reg.index();
-    if ri >= frame.regs.len() || !frame.written[ri] {
-        return None;
+impl FaultFrames for [Frame] {
+    fn depth(&self) -> usize {
+        self.len()
     }
-    let old = frame.regs[ri];
-    let new = old.with_bits_flipped(mask);
-    frame.regs[ri] = new;
-    let effect = match fault.kind {
-        ExactFaultKind::BitFlip { reg, bit } => FaultEffect::BitFlip {
-            reg,
-            bit,
-            old_bits: old.bits(),
-            new_bits: new.bits(),
-        },
-        ExactFaultKind::Burst { reg, start, width } => {
-            let (start, width, _) = burst_window(start, width);
-            FaultEffect::Burst {
-                reg,
-                start,
-                width,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            }
-        }
-        ExactFaultKind::Skip => unreachable!(),
-    };
-    Some(InjectionRecord {
-        function: prog.module.functions[frame.func as usize].name.clone(),
-        block: rskip_ir::BlockId(frame.block),
-        ip: frame.ip as usize,
-        at_retired,
-        effect,
-    })
-}
 
-/// True when the step the innermost frame would execute next is an
-/// intrinsic call — the one shape a skip fault must hold fire over (the
-/// runtime interface executes host-side; swallowing a call would desync
-/// the runtime's own metadata rather than the emulated program state).
-fn skip_target_is_intrinsic(prog: &Decoded<'_>, stack: &[Frame]) -> bool {
-    let frame = stack.last().expect("non-empty stack");
-    prog.funcs[frame.func as usize].blocks[frame.block as usize]
-        .insts
-        .get(frame.ip as usize)
-        .is_some_and(|step| matches!(step.op, DInst::IntrinsicCall { .. }))
+    fn written(&self, fi: usize) -> &[bool] {
+        &self[fi].written
+    }
+
+    fn reg_mut(&mut self, fi: usize, ri: usize) -> &mut Value {
+        &mut self[fi].regs[ri]
+    }
+
+    fn point(&self, fi: usize) -> (u32, u32, u32) {
+        point(&self[fi])
+    }
 }
 
 /// Fires an instruction-skip fault: the instruction or terminator the
@@ -1149,13 +1006,12 @@ fn fire_skip(
     region_depth: u32,
 ) -> (InjectionRecord, Option<Trap>) {
     let frame = stack.last_mut().expect("non-empty stack");
-    let record = InjectionRecord {
-        function: prog.module.functions[frame.func as usize].name.clone(),
-        block: rskip_ir::BlockId(frame.block),
-        ip: frame.ip as usize,
-        at_retired: counters.retired,
-        effect: FaultEffect::SkippedInstruction,
-    };
+    let record = record(
+        prog.module,
+        point(frame),
+        counters.retired,
+        FaultEffect::SkippedInstruction,
+    );
     // The bubble still retires.
     *boundary += 1;
     counters.retired += 1;
@@ -1191,6 +1047,7 @@ pub fn run_simple(module: &Module, func: &str, args: &[Value]) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{ExactFaultKind, FaultModel};
     use crate::hooks::NoopHooks;
     use rskip_ir::{Intrinsic, ModuleBuilder};
 
@@ -1868,5 +1725,14 @@ mod tests {
         let rec = out.injection.as_ref().expect("skip fired");
         assert_eq!(rec.effect, FaultEffect::SkippedInstruction);
         assert_ne!(returned_i(&out), 30);
+    }
+
+    #[test]
+    fn tier_names_parse_and_the_removed_nofuse_name_aliases_threaded() {
+        for tier in [ExecTier::Match, ExecTier::Threaded] {
+            assert_eq!(ExecTier::parse(tier.label()), Some(tier));
+        }
+        assert_eq!(ExecTier::parse("threaded-nofuse"), Some(ExecTier::Threaded));
+        assert_eq!(ExecTier::parse("garbage"), None);
     }
 }

@@ -12,42 +12,31 @@
 //! ```
 //!
 //! with no enum match, no block/ip pair, and block transitions reduced
-//! to a `pc` assignment. On top of the flat stream,
-//! [`crate::fuse`] installs *superinstructions*: a fused step at the
-//! first constituent's pc executes two or three original instructions in
-//! one handler call, while the constituents' ordinary steps remain in
-//! the stream at their original pcs (branch targets only ever enter at
-//! block heads, so the overlay never changes reachability).
+//! to a `pc` assignment.
 //!
 //! # Exactness
 //!
 //! The tier is observationally identical to the reference interpreter —
 //! byte-identical memory, counters, injection records and timing — which
-//! the fault model depends on. Two mechanisms make that cheap:
-//!
-//! * **Event fuel.** The reference loop re-evaluates fault-injection
-//!   due-ness and the step limit at *every* instruction boundary. Both
-//!   are monotone in counters that advance by at most one per boundary —
-//!   except intrinsics, whose modeled cost advances them in jumps. The
-//!   threaded loop therefore computes `next_check`, the earliest
-//!   boundary at which any armed event could fire, checks events only
-//!   when `boundary >= next_check`, and forces a recomputation after
-//!   every intrinsic (the only non-unit advance). Firing boundaries are
-//!   bit-exact with the reference loop.
-//! * **Fusion decomposition.** A fused step of width `W` runs only when
-//!   `boundary + W <= next_check`, i.e. no event can fall between its
-//!   constituents. Otherwise the step's `single` handler executes just
-//!   the first constituent and control falls through to the retained
-//!   per-instruction steps.
+//! the fault model depends on. **Event fuel** makes that cheap: the
+//! reference loop re-evaluates fault-injection due-ness and the step
+//! limit at *every* instruction boundary. Both are monotone in counters
+//! that advance by at most one per boundary — except intrinsics, whose
+//! modeled cost advances them in jumps. The threaded loop therefore
+//! computes `next_check`, the earliest boundary at which any armed event
+//! could fire, checks events only when `boundary >= next_check`, and
+//! forces a recomputation after every intrinsic (the only non-unit
+//! advance). Firing boundaries are bit-exact with the reference loop, and
+//! the register effect itself is the reference tier's: both call the
+//! shared injectors in [`crate::fault`].
 //!
 //! Traced runs (the enumeration census) always use the reference loop;
 //! probe replays with [`crate::ExactFault`] run threaded and fire at the
 //! identical boundary.
 //!
 //! Instruction-skip faults ride the same machinery: a skip is an armed
-//! event, so `next_check` already forces the loop to a genuine
-//! single-instruction boundary (decomposing any fused group) before it
-//! can fire. Firing then advances `pc` by one — exactly the reference
+//! event, so `next_check` stops the loop at its boundary before it can
+//! fire. Firing then advances `pc` by one — exactly the reference
 //! tier's fall-through to the next instruction or next block in layout
 //! order, because flattening emits blocks in index order — and running
 //! off the end of the function's code is the same [`Trap::CodeRunoff`].
@@ -57,84 +46,61 @@ use rskip_ir::{Intrinsic, Module, Operand, Reg, Value};
 use crate::counters::Counters;
 use crate::decoded::{DFunc, DInst, DTerm, Decoded};
 use crate::fault::{
-    burst_window, ExactFault, ExactFaultKind, FaultEffect, FaultModel, InjectionPlan,
+    inject_exact, inject_random, record, skip_holds_fire, ArmedFault, FaultEffect, FaultFrames,
     InjectionRecord,
 };
-use crate::fuse;
 use crate::hooks::RuntimeHooks;
-use crate::machine::{bin_op, cmp_op, un_op, ArmedFault, ExecConfig, ExecTier};
-use crate::machine::{RunOutcome, Termination, Trap};
+use crate::machine::{un_op, ExecConfig, RunOutcome, Termination, Trap};
 use crate::pipeline::{OpClass, Pipeline};
 
-/// One per-step handler. Executes the step (or its fused group), updates
-/// counters/pc, and says how to continue.
-pub(crate) type Handler = fn(&mut Ctx<'_>, &TStep) -> Control;
+/// One per-step handler. Executes the step, updates counters/pc, and says
+/// how to continue.
+type Handler = fn(&mut Ctx<'_>, &TStep) -> Control;
 
 /// Handler verdict.
-pub(crate) enum Control {
+enum Control {
     /// Keep going; `pc` was updated by the handler.
     Cont,
     /// Stop; `ctx.termination` is set.
     Halt,
 }
 
-pub(crate) const F_HAS_DST: u8 = 1;
-pub(crate) const F_RET_VALUE: u8 = 2;
-/// In a load+bin fusion, the loaded value feeds the bin's *lhs*.
-pub(crate) const F_LOAD_ON_LHS: u8 = 4;
+const F_HAS_DST: u8 = 1;
+const F_RET_VALUE: u8 = 2;
 
-/// One flattened step: handler pointers plus a flat payload wide enough
-/// for every instruction shape and for fused groups (up to three operand
-/// slots, two destinations, three timing classes).
-pub(crate) struct TStep {
-    /// Fused handler (equals `single` for unfused steps).
-    pub(crate) run: Handler,
-    /// First-constituent-only handler, used when an event could fire
-    /// inside the fused width or when fusion is disabled by the tier.
-    pub(crate) single: Handler,
-    /// Instruction boundaries consumed by `run`.
-    pub(crate) width: u32,
-    pub(crate) flags: u8,
-    pub(crate) class: OpClass,
-    pub(crate) class2: OpClass,
-    pub(crate) class3: OpClass,
-    pub(crate) ty: rskip_ir::Ty,
-    pub(crate) bop: rskip_ir::BinOp,
-    pub(crate) cop: rskip_ir::CmpOp,
-    pub(crate) uop: rskip_ir::UnOp,
-    pub(crate) intr: Intrinsic,
-    pub(crate) a: Operand,
-    pub(crate) b: Operand,
-    pub(crate) c: Operand,
-    pub(crate) dst: Reg,
-    pub(crate) dst2: Reg,
-    pub(crate) t1: u32,
-    pub(crate) t2: u32,
-    pub(crate) t3: u32,
-    /// Branch-predictor site of a (fused) conditional branch.
-    pub(crate) site: u64,
+/// One flattened step: the handler pointer plus a flat payload wide
+/// enough for every instruction shape.
+struct TStep {
+    run: Handler,
+    flags: u8,
+    class: OpClass,
+    ty: rskip_ir::Ty,
+    uop: rskip_ir::UnOp,
+    intr: Intrinsic,
+    a: Operand,
+    b: Operand,
+    c: Operand,
+    dst: Reg,
+    t1: u32,
+    t2: u32,
+    t3: u32,
+    /// Branch-predictor site of a conditional branch.
+    site: u64,
 }
 
 impl TStep {
-    fn blank(single: Handler, class: OpClass) -> TStep {
+    fn blank(run: Handler, class: OpClass) -> TStep {
         TStep {
-            run: single,
-            single,
-            width: 1,
+            run,
             flags: 0,
             class,
-            class2: class,
-            class3: class,
             ty: rskip_ir::Ty::I64,
-            bop: rskip_ir::BinOp::Add,
-            cop: rskip_ir::CmpOp::Eq,
             uop: rskip_ir::UnOp::Neg,
             intr: Intrinsic::Print,
             a: Operand::ImmI(0),
             b: Operand::ImmI(0),
             c: Operand::ImmI(0),
             dst: Reg(0),
-            dst2: Reg(0),
             t1: 0,
             t2: 0,
             t3: 0,
@@ -145,21 +111,14 @@ impl TStep {
 
 /// One function's flattened code plus cold side tables.
 pub(crate) struct TFunc {
-    pub(crate) code: Box<[TStep]>,
+    code: Box<[TStep]>,
     /// Call/intrinsic argument lists, referenced by `(t1, t3)` ranges.
-    pub(crate) args_pool: Box<[Operand]>,
+    args_pool: Box<[Operand]>,
     /// Unresolved callee names (cold trap path).
-    pub(crate) names: Box<[Box<str>]>,
+    names: Box<[Box<str>]>,
     /// Flat pc → `(block, ip)`; terminators carry `ip == insts.len()`.
-    /// Used only on the cold injection-record path.
-    pub(crate) loc: Box<[(u32, u32)]>,
-}
-
-/// A module's direct-threaded form: flattened code per function plus the
-/// static fusion statistics of the peephole overlay.
-pub(crate) struct ThreadedModule {
-    pub(crate) funcs: Box<[TFunc]>,
-    pub(crate) fusion: fuse::FusionStats,
+    /// Used only on the cold fault-injection path.
+    loc: Box<[(u32, u32)]>,
 }
 
 /// A call frame of the threaded tier: like the reference frame but with
@@ -177,42 +136,42 @@ pub(crate) struct TFrame {
 /// Shared execution state threaded through every handler call.
 ///
 /// Deliberately non-generic: hooks are a `dyn` reference so handler fn
-/// pointers can live in the shared [`ThreadedModule`]; dynamic dispatch
+/// pointers can live in the shared decoded unit; dynamic dispatch
 /// is paid only at intrinsic calls, which the reference tier pays too
 /// (they funnel into the same [`RuntimeHooks`] object).
-pub(crate) struct Ctx<'a> {
-    pub(crate) tprog: &'a ThreadedModule,
+struct Ctx<'a> {
+    tfuncs: &'a [TFunc],
     /// The running frame's flattened code — cached so the dispatch loop
-    /// avoids re-indexing `tprog.funcs` every step; call/ret handlers
+    /// avoids re-indexing `tfuncs` every step; call/ret handlers
     /// keep it in sync with `frame.func`.
-    pub(crate) code: &'a [TStep],
-    pub(crate) dfuncs: &'a [DFunc],
-    pub(crate) module: &'a Module,
-    pub(crate) global_base: &'a [i64],
-    pub(crate) hooks: &'a mut dyn RuntimeHooks,
-    pub(crate) mem: &'a mut [Value],
-    pub(crate) pool: &'a mut Vec<TFrame>,
+    code: &'a [TStep],
+    dfuncs: &'a [DFunc],
+    module: &'a Module,
+    global_base: &'a [i64],
+    hooks: &'a mut dyn RuntimeHooks,
+    mem: &'a mut [Value],
+    pool: &'a mut Vec<TFrame>,
     /// The running (innermost) frame, kept out of `stack` so handlers
     /// reach it without a bounds-checked `last_mut`.
-    pub(crate) frame: TFrame,
+    frame: TFrame,
     /// Suspended caller frames, outermost first.
-    pub(crate) stack: Vec<TFrame>,
-    pub(crate) counters: Counters,
-    pub(crate) pipeline: Option<Pipeline>,
-    pub(crate) prints: Vec<Value>,
-    pub(crate) scratch: Vec<Value>,
-    pub(crate) region_depth: u32,
+    stack: Vec<TFrame>,
+    counters: Counters,
+    pipeline: Option<Pipeline>,
+    prints: Vec<Value>,
+    scratch: Vec<Value>,
+    region_depth: u32,
     /// Instruction boundaries crossed so far (see the reference loop).
-    pub(crate) boundary: u64,
+    boundary: u64,
     /// Earliest boundary at which an armed event (injection due-ness or
     /// the step limit) must be re-evaluated.
-    pub(crate) next_check: u64,
-    pub(crate) injection: Option<ArmedFault>,
-    pub(crate) injected: Option<InjectionRecord>,
-    pub(crate) state_injected: Option<String>,
-    pub(crate) termination: Option<Termination>,
-    pub(crate) step_limit: u64,
-    pub(crate) max_call_depth: usize,
+    next_check: u64,
+    injection: Option<ArmedFault>,
+    injected: Option<InjectionRecord>,
+    state_injected: Option<String>,
+    termination: Option<Termination>,
+    step_limit: u64,
+    max_call_depth: usize,
 }
 
 /// Advances one instruction boundary (the per-step bookkeeping the
@@ -478,8 +437,8 @@ fn h_call(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     if ctx.stack.len() + 1 >= ctx.max_call_depth {
         return halt(ctx, Trap::StackOverflow);
     }
-    let tprog = ctx.tprog;
-    let args_pool = &tprog.funcs[ctx.frame.func as usize].args_pool;
+    let tfuncs = ctx.tfuncs;
+    let args_pool = &tfuncs[ctx.frame.func as usize].args_pool;
     let args = &args_pool[st.t1 as usize..(st.t1 + st.t3) as usize];
     let mut new = acquire(ctx.pool, ctx.dfuncs, st.t2 as usize);
     let timed = ctx.pipeline.is_some();
@@ -500,7 +459,7 @@ fn h_call(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     new.ret_dst = (st.flags & F_HAS_DST != 0).then_some(st.dst);
     ctx.frame.pc += 1;
     ctx.stack.push(std::mem::replace(&mut ctx.frame, new));
-    ctx.code = &ctx.tprog.funcs[st.t2 as usize].code;
+    ctx.code = &ctx.tfuncs[st.t2 as usize].code;
     Control::Cont
 }
 
@@ -510,14 +469,14 @@ fn h_call_unknown(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     if ctx.stack.len() + 1 >= ctx.max_call_depth {
         return halt(ctx, Trap::StackOverflow);
     }
-    let name = ctx.tprog.funcs[ctx.frame.func as usize].names[st.t1 as usize].to_string();
+    let name = ctx.tfuncs[ctx.frame.func as usize].names[st.t1 as usize].to_string();
     halt(ctx, Trap::UnknownFunction(name))
 }
 
 fn h_intrinsic(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     tick(ctx);
-    let tprog = ctx.tprog;
-    let args_pool = &tprog.funcs[ctx.frame.func as usize].args_pool;
+    let tfuncs = ctx.tfuncs;
+    let args_pool = &tfuncs[ctx.frame.func as usize].args_pool;
     let args = &args_pool[st.t1 as usize..(st.t1 + st.t3) as usize];
     let mut scratch = std::mem::take(&mut ctx.scratch);
     scratch.clear();
@@ -603,7 +562,7 @@ fn h_ret(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
         Some(caller) => {
             let done = std::mem::replace(&mut ctx.frame, caller);
             ctx.pool.push(done);
-            ctx.code = &ctx.tprog.funcs[ctx.frame.func as usize].code;
+            ctx.code = &ctx.tfuncs[ctx.frame.func as usize].code;
             if let (Some(dst), Some(val)) = (ret_dst, value) {
                 match timed {
                     false => wr(&mut ctx.frame, dst, val),
@@ -616,211 +575,19 @@ fn h_ret(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 }
 
 // ---------------------------------------------------------------------
-// Fused (superinstruction) handlers. Each constituent performs exactly
-// the bookkeeping its single-step handler would; the payload layout per
-// pattern is documented in `crate::fuse`.
-// ---------------------------------------------------------------------
-
-/// `cmp dst, a, b ; condbr dst, t1, t2`
-fn h_cmp_br(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    let a = ev(ctx.global_base, &ctx.frame, st.a);
-    let b = ev(ctx.global_base, &ctx.frame, st.b);
-    let taken = cmp_op(st.ty, st.cop, a, b);
-    write2(ctx, st, Value::I(taken as i64));
-    tick(ctx);
-    ctx.counters.branches += 1;
-    if let Some(p) = ctx.pipeline.as_mut() {
-        p.branch(st.site, taken, ctx.frame.ready[st.dst.index()]);
-    }
-    ctx.frame.pc = if taken { st.t1 } else { st.t2 };
-    Control::Cont
-}
-
-/// `load dst, [a] ; bin dst2, b, c`
-fn h_load_bin(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    ctx.counters.loads += 1;
-    let addr = ev(ctx.global_base, &ctx.frame, st.a).as_i();
-    if addr < 0 || addr as usize >= ctx.mem.len() {
-        return halt(ctx, Trap::OutOfBounds { addr });
-    }
-    let v = ctx.mem[addr as usize];
-    match ctx.pipeline.as_mut() {
-        None => wr(&mut ctx.frame, st.dst, v),
-        Some(p) => {
-            let done = p.issue(st.class, ready1(&ctx.frame, st.a), Some(addr));
-            wr_t(&mut ctx.frame, st.dst, v, done);
-        }
-    }
-    tick(ctx);
-    let x = ev(ctx.global_base, &ctx.frame, st.b);
-    let y = ev(ctx.global_base, &ctx.frame, st.c);
-    let v = match bin_op(st.ty, st.bop, x, y) {
-        Ok(v) => v,
-        Err(trap) => return halt(ctx, trap),
-    };
-    match ctx.pipeline.as_mut() {
-        None => wr(&mut ctx.frame, st.dst2, v),
-        Some(p) => {
-            let ready = ready1(&ctx.frame, st.b).max(ready1(&ctx.frame, st.c));
-            let done = p.issue(st.class2, ready, None);
-            wr_t(&mut ctx.frame, st.dst2, v, done);
-        }
-    }
-    ctx.frame.pc += 2;
-    Control::Cont
-}
-
-/// `bin dst, a, b ; store [c], dst`
-fn h_bin_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    let x = ev(ctx.global_base, &ctx.frame, st.a);
-    let y = ev(ctx.global_base, &ctx.frame, st.b);
-    let v = match bin_op(st.ty, st.bop, x, y) {
-        Ok(v) => v,
-        Err(trap) => return halt(ctx, trap),
-    };
-    write2(ctx, st, v);
-    tick(ctx);
-    ctx.counters.stores += 1;
-    let addr = ev(ctx.global_base, &ctx.frame, st.c).as_i();
-    if let Some(p) = ctx.pipeline.as_mut() {
-        let ready = ready1(&ctx.frame, st.c).max(ctx.frame.ready[st.dst.index()]);
-        p.issue(st.class2, ready, Some(addr));
-    }
-    if addr < 0 || addr as usize >= ctx.mem.len() {
-        return halt(ctx, Trap::OutOfBounds { addr });
-    }
-    ctx.mem[addr as usize] = ctx.frame.regs[st.dst.index()];
-    ctx.frame.pc += 2;
-    Control::Cont
-}
-
-/// `load dst, [a] ; bin dst2, (dst|b) ; store [c], dst2`
-fn h_load_bin_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    ctx.counters.loads += 1;
-    let addr = ev(ctx.global_base, &ctx.frame, st.a).as_i();
-    if addr < 0 || addr as usize >= ctx.mem.len() {
-        return halt(ctx, Trap::OutOfBounds { addr });
-    }
-    let v = ctx.mem[addr as usize];
-    match ctx.pipeline.as_mut() {
-        None => wr(&mut ctx.frame, st.dst, v),
-        Some(p) => {
-            let done = p.issue(st.class, ready1(&ctx.frame, st.a), Some(addr));
-            wr_t(&mut ctx.frame, st.dst, v, done);
-        }
-    }
-    tick(ctx);
-    let loaded = ctx.frame.regs[st.dst.index()];
-    let other = ev(ctx.global_base, &ctx.frame, st.b);
-    let (x, y) = if st.flags & F_LOAD_ON_LHS != 0 {
-        (loaded, other)
-    } else {
-        (other, loaded)
-    };
-    let v = match bin_op(st.ty, st.bop, x, y) {
-        Ok(v) => v,
-        Err(trap) => return halt(ctx, trap),
-    };
-    match ctx.pipeline.as_mut() {
-        None => wr(&mut ctx.frame, st.dst2, v),
-        Some(p) => {
-            let ready = ready1(&ctx.frame, st.b).max(ctx.frame.ready[st.dst.index()]);
-            let done = p.issue(st.class2, ready, None);
-            wr_t(&mut ctx.frame, st.dst2, v, done);
-        }
-    }
-    tick(ctx);
-    ctx.counters.stores += 1;
-    let addr = ev(ctx.global_base, &ctx.frame, st.c).as_i();
-    if let Some(p) = ctx.pipeline.as_mut() {
-        let ready = ready1(&ctx.frame, st.c).max(ctx.frame.ready[st.dst2.index()]);
-        p.issue(st.class3, ready, Some(addr));
-    }
-    if addr < 0 || addr as usize >= ctx.mem.len() {
-        return halt(ctx, Trap::OutOfBounds { addr });
-    }
-    ctx.mem[addr as usize] = ctx.frame.regs[st.dst2.index()];
-    ctx.frame.pc += 3;
-    Control::Cont
-}
-
-/// Generic two-wide fusion: runs this step's own single handler, then
-/// the next step's, without returning to the dispatch loop. The
-/// constituents keep their specialized handlers and payloads; only the
-/// loop overhead (event/fuel checks, step fetch) is eliminated.
-fn h_pair(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    if let Control::Halt = (st.single)(ctx, st) {
-        return Control::Halt;
-    }
-    let code = ctx.code;
-    let next = &code[ctx.frame.pc as usize];
-    (next.single)(ctx, next)
-}
-
-/// Generic three-wide fusion (see [`h_pair`]).
-fn h_triple(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    if let Control::Halt = (st.single)(ctx, st) {
-        return Control::Halt;
-    }
-    let code = ctx.code;
-    let next = &code[ctx.frame.pc as usize];
-    if let Control::Halt = (next.single)(ctx, next) {
-        return Control::Halt;
-    }
-    let code = ctx.code;
-    let next = &code[ctx.frame.pc as usize];
-    (next.single)(ctx, next)
-}
-
-/// `bin dst, a, b ; load dst2, [dst]` (address-compute-then-load)
-fn h_bin_load(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    let x = ev(ctx.global_base, &ctx.frame, st.a);
-    let y = ev(ctx.global_base, &ctx.frame, st.b);
-    let v = match bin_op(st.ty, st.bop, x, y) {
-        Ok(v) => v,
-        Err(trap) => return halt(ctx, trap),
-    };
-    write2(ctx, st, v);
-    tick(ctx);
-    ctx.counters.loads += 1;
-    let addr = ctx.frame.regs[st.dst.index()].as_i();
-    if addr < 0 || addr as usize >= ctx.mem.len() {
-        return halt(ctx, Trap::OutOfBounds { addr });
-    }
-    let loaded = ctx.mem[addr as usize];
-    match ctx.pipeline.as_mut() {
-        None => wr(&mut ctx.frame, st.dst2, loaded),
-        Some(p) => {
-            let done = p.issue(st.class2, ctx.frame.ready[st.dst.index()], Some(addr));
-            wr_t(&mut ctx.frame, st.dst2, loaded, done);
-        }
-    }
-    ctx.frame.pc += 2;
-    Control::Cont
-}
-
-// ---------------------------------------------------------------------
 // Lowering: DFunc → flattened TFunc stream.
 // ---------------------------------------------------------------------
 
-/// Builds the direct-threaded form of a decoded module, including the
-/// superinstruction fusion overlay.
-pub(crate) fn build(dfuncs: &[DFunc]) -> ThreadedModule {
-    let mut fusion = fuse::FusionStats::default();
-    let funcs = dfuncs
+/// Builds the direct-threaded form of a decoded module.
+pub(crate) fn build(dfuncs: &[DFunc]) -> Box<[TFunc]> {
+    dfuncs
         .iter()
         .enumerate()
-        .map(|(fi, df)| build_func(fi as u32, df, &mut fusion))
-        .collect();
-    ThreadedModule { funcs, fusion }
+        .map(|(fi, df)| build_func(fi as u32, df))
+        .collect()
 }
 
-fn build_func(func: u32, df: &DFunc, fusion: &mut fuse::FusionStats) -> TFunc {
+fn build_func(func: u32, df: &DFunc) -> TFunc {
     // Pass 1: block entry pcs.
     let mut block_entry = Vec::with_capacity(df.blocks.len());
     let mut pc = 0u32;
@@ -842,9 +609,6 @@ fn build_func(func: u32, df: &DFunc, fusion: &mut fuse::FusionStats) -> TFunc {
         code.push(lower_term(&b.term, func, bi as u32, &block_entry));
         loc.push((bi as u32, b.insts.len() as u32));
     }
-
-    // Pass 3: install the superinstruction overlay.
-    fuse::fuse_function(&mut code, &df.blocks, &block_entry, fusion);
 
     TFunc {
         code: code.into_boxed_slice(),
@@ -874,7 +638,7 @@ fn lower_inst(
             lhs,
             rhs,
         } => {
-            let single: Handler = match (ty, op) {
+            let run: Handler = match (ty, op) {
                 (Ty::I64, BinOp::Add) => h_add_i,
                 (Ty::I64, BinOp::Sub) => h_sub_i,
                 (Ty::I64, BinOp::Mul) => h_mul_i,
@@ -896,9 +660,7 @@ fn lower_inst(
                 (Ty::F64, BinOp::Max) => h_max_f,
                 (Ty::F64, _) => unreachable!("verifier rejects bitwise float ops"),
             };
-            let mut st = TStep::blank(single, ds.class);
-            st.ty = *ty;
-            st.bop = *op;
+            let mut st = TStep::blank(run, ds.class);
             st.dst = *dst;
             st.a = *lhs;
             st.b = *rhs;
@@ -919,7 +681,7 @@ fn lower_inst(
             lhs,
             rhs,
         } => {
-            let single: Handler = match (ty, op) {
+            let run: Handler = match (ty, op) {
                 (Ty::I64, CmpOp::Eq) => h_eq_i,
                 (Ty::I64, CmpOp::Ne) => h_ne_i,
                 (Ty::I64, CmpOp::Lt) => h_lt_i,
@@ -933,9 +695,7 @@ fn lower_inst(
                 (Ty::F64, CmpOp::Gt) => h_gt_f,
                 (Ty::F64, CmpOp::Ge) => h_ge_f,
             };
-            let mut st = TStep::blank(single, ds.class);
-            st.ty = *ty;
-            st.cop = *op;
+            let mut st = TStep::blank(run, ds.class);
             st.dst = *dst;
             st.a = *lhs;
             st.b = *rhs;
@@ -1032,18 +792,6 @@ fn lower_term(term: &DTerm, func: u32, block: u32, block_entry: &[u32]) -> TStep
     }
 }
 
-/// Handler table shared with `crate::fuse` so the overlay can install
-/// fused entry points without knowing handler internals.
-pub(crate) const FUSED: fuse::FusedHandlers = fuse::FusedHandlers {
-    cmp_br: h_cmp_br,
-    load_bin: h_load_bin,
-    bin_store: h_bin_store,
-    load_bin_store: h_load_bin_store,
-    bin_load: h_bin_load,
-    pair: h_pair,
-    triple: h_triple,
-};
-
 // ---------------------------------------------------------------------
 // The threaded execution loop.
 // ---------------------------------------------------------------------
@@ -1086,10 +834,9 @@ pub(crate) fn exec_threaded(
         frame.written[i] = true;
     }
 
-    let fuse_enabled = config.tier == ExecTier::Threaded;
     let mut ctx = Ctx {
-        tprog: &unit.threaded,
-        code: &unit.threaded.funcs[entry].code,
+        tfuncs: &unit.threaded,
+        code: &unit.threaded[entry].code,
         dfuncs: &unit.funcs,
         module: prog.module,
         global_base: &unit.global_base,
@@ -1123,14 +870,7 @@ pub(crate) fn exec_threaded(
         }
         let code = ctx.code;
         let step = &code[ctx.frame.pc as usize];
-        let ctl = if step.width == 1
-            || (fuse_enabled && ctx.boundary + u64::from(step.width) <= ctx.next_check)
-        {
-            (step.run)(&mut ctx, step)
-        } else {
-            (step.single)(&mut ctx, step)
-        };
-        match ctl {
+        match (step.run)(&mut ctx, step) {
             Control::Cont => {}
             Control::Halt => break ctx.termination.take().expect("handler set termination"),
         }
@@ -1169,33 +909,14 @@ pub(crate) fn exec_threaded(
 #[cold]
 fn handle_events(ctx: &mut Ctx<'_>) -> Option<Termination> {
     if let Some(armed) = ctx.injection.take() {
-        let due = match &armed {
-            ArmedFault::Random(plan) => {
-                if plan.anywhere {
-                    ctx.counters.retired >= plan.trigger
-                } else {
-                    ctx.region_depth > 0 && ctx.counters.region_retired >= plan.trigger
-                }
-            }
-            ArmedFault::Exact(fault) => ctx.boundary >= fault.at,
-            ArmedFault::RuntimeState { trigger, .. } => ctx.counters.region_retired >= *trigger,
-        };
-        if due {
+        if armed.due(&ctx.counters, ctx.region_depth, ctx.boundary) {
+            let at_retired = ctx.counters.retired;
             match &armed {
-                // Skip faults swallow the step at the current pc; see the
-                // module docs for the decomposition argument.
-                ArmedFault::Random(InjectionPlan {
-                    model: FaultModel::InstructionSkip,
-                    ..
-                })
-                | ArmedFault::Exact(ExactFault {
-                    kind: ExactFaultKind::Skip,
-                    ..
-                }) => {
-                    // Over an intrinsic boundary the skip holds fire and
-                    // retries at the next one (the reference loop's rule);
-                    // the intrinsic itself forces that re-check.
-                    if skip_target_is_intrinsic(ctx) {
+                // Over an intrinsic boundary a skip holds fire and retries
+                // at the next one (the reference loop's rule); the
+                // intrinsic itself forces that re-check.
+                _ if armed.is_skip() => {
+                    if skip_holds_fire(ctx.dfuncs, point(ctx.tfuncs, &ctx.frame)) {
                         ctx.injection = Some(armed);
                     } else {
                         let (record, trap) = fire_skip(ctx);
@@ -1206,23 +927,10 @@ fn handle_events(ctx: &mut Ctx<'_>) -> Option<Termination> {
                     }
                 }
                 ArmedFault::Random(plan) => {
-                    ctx.injected = inject_random(
-                        ctx.module,
-                        ctx.tprog,
-                        plan,
-                        &mut ctx.stack,
-                        &mut ctx.frame,
-                        ctx.counters.retired,
-                    );
+                    ctx.injected = inject_random(ctx.module, plan, &mut frames(ctx), at_retired);
                 }
                 ArmedFault::Exact(fault) => {
-                    ctx.injected = inject_exact(
-                        ctx.module,
-                        ctx.tprog,
-                        fault,
-                        &mut ctx.frame,
-                        ctx.counters.retired,
-                    );
+                    ctx.injected = inject_exact(ctx.module, fault, &mut frames(ctx), at_retired);
                 }
                 ArmedFault::RuntimeState { seed, .. } => {
                     match ctx.hooks.flip_runtime_state(*seed) {
@@ -1284,134 +992,56 @@ fn next_check(ctx: &Ctx<'_>) -> u64 {
     ctx.boundary.saturating_add(fuel)
 }
 
-/// Threaded-tier twin of the reference random injector: identical target
-/// enumeration order (outermost frame first, running frame last), RNG
-/// stream, effect sampling and record fields.
-fn inject_random(
-    module: &Module,
-    tprog: &ThreadedModule,
-    plan: &InjectionPlan,
-    stack: &mut [TFrame],
-    frame: &mut TFrame,
-    at_retired: u64,
-) -> Option<InjectionRecord> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(plan.seed);
-
-    let n_stack = stack.len();
-    let mut targets: Vec<(usize, usize)> = Vec::new();
-    for (fi, fr) in stack.iter().chain(std::iter::once(&*frame)).enumerate() {
-        for (ri, &w) in fr.written.iter().enumerate() {
-            if w {
-                targets.push((fi, ri));
-            }
-        }
-    }
-    if targets.is_empty() {
-        return None;
-    }
-    let (fi, ri) = targets[rng.gen_range(0..targets.len())];
-    let fr: &mut TFrame = if fi < n_stack { &mut stack[fi] } else { frame };
-    let old = fr.regs[ri];
-    let (new, effect) = match plan.model {
-        FaultModel::InstructionSkip => unreachable!("skip faults fire through fire_skip"),
-        FaultModel::SingleBitSeu => {
-            let bit = rng.gen_range(0..64u32);
-            let new = old.with_bit_flipped(bit);
-            let effect = FaultEffect::BitFlip {
-                reg: Reg(ri as u32),
-                bit,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            };
-            (new, effect)
-        }
-        FaultModel::MultiBitBurst { width } => {
-            let w = width.clamp(1, 64);
-            let (start, w, mask) = burst_window(rng.gen_range(0..(65 - w)), w);
-            let new = old.with_bits_flipped(mask);
-            let effect = FaultEffect::Burst {
-                reg: Reg(ri as u32),
-                start,
-                width: w,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            };
-            (new, effect)
-        }
-    };
-    fr.regs[ri] = new;
-    let (block, ip) = tprog.funcs[fr.func as usize].loc[fr.pc as usize];
-    Some(InjectionRecord {
-        function: module.functions[fr.func as usize].name.clone(),
-        block: rskip_ir::BlockId(block),
-        ip: ip as usize,
-        at_retired,
-        effect,
-    })
+/// The program point `(function, block, ip)` a threaded frame executes
+/// next.
+fn point(tfuncs: &[TFunc], f: &TFrame) -> (u32, u32, u32) {
+    let (block, ip) = tfuncs[f.func as usize].loc[f.pc as usize];
+    (f.func, block, ip)
 }
 
-/// Threaded-tier twin of the reference exact-fault injector (innermost
-/// frame only; a never-written register is architecturally invisible).
-fn inject_exact(
-    module: &Module,
-    tprog: &ThreadedModule,
-    fault: &ExactFault,
-    frame: &mut TFrame,
-    at_retired: u64,
-) -> Option<InjectionRecord> {
-    let (reg, mask) = match fault.kind {
-        ExactFaultKind::BitFlip { reg, bit } => (reg, 1u64 << bit.min(63)),
-        ExactFaultKind::Burst { reg, start, width } => (reg, burst_window(start, width).2),
-        ExactFaultKind::Skip => unreachable!("skip faults fire through fire_skip"),
-    };
-    let ri = reg.index();
-    if ri >= frame.regs.len() || !frame.written[ri] {
-        return None;
-    }
-    let old = frame.regs[ri];
-    let new = old.with_bits_flipped(mask);
-    frame.regs[ri] = new;
-    let effect = match fault.kind {
-        ExactFaultKind::BitFlip { reg, bit } => FaultEffect::BitFlip {
-            reg,
-            bit,
-            old_bits: old.bits(),
-            new_bits: new.bits(),
-        },
-        ExactFaultKind::Burst { reg, start, width } => {
-            let (start, width, _) = burst_window(start, width);
-            FaultEffect::Burst {
-                reg,
-                start,
-                width,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            }
-        }
-        ExactFaultKind::Skip => unreachable!(),
-    };
-    let (block, ip) = tprog.funcs[frame.func as usize].loc[frame.pc as usize];
-    Some(InjectionRecord {
-        function: module.functions[frame.func as usize].name.clone(),
-        block: rskip_ir::BlockId(block),
-        ip: ip as usize,
-        at_retired,
-        effect,
-    })
+/// The threaded tier's frames as the shared injectors see them: the
+/// suspended callers, then the running frame.
+struct TFrames<'c, 'a> {
+    tfuncs: &'a [TFunc],
+    stack: &'c mut [TFrame],
+    frame: &'c mut TFrame,
 }
 
-/// Threaded-tier twin of the reference hold-fire rule: true when the
-/// step at the current pc is an intrinsic call, which a skip fault must
-/// never swallow (the runtime interface executes host-side; swallowing a
-/// call would desync the runtime's own metadata rather than the emulated
-/// program state).
-fn skip_target_is_intrinsic(ctx: &Ctx<'_>) -> bool {
-    let (block, ip) = ctx.tprog.funcs[ctx.frame.func as usize].loc[ctx.frame.pc as usize];
-    ctx.dfuncs[ctx.frame.func as usize].blocks[block as usize]
-        .insts
-        .get(ip as usize)
-        .is_some_and(|step| matches!(step.op, DInst::IntrinsicCall { .. }))
+fn frames<'c, 'a>(ctx: &'c mut Ctx<'a>) -> TFrames<'c, 'a> {
+    TFrames {
+        tfuncs: ctx.tfuncs,
+        stack: &mut ctx.stack,
+        frame: &mut ctx.frame,
+    }
+}
+
+impl TFrames<'_, '_> {
+    fn get(&self, fi: usize) -> &TFrame {
+        self.stack.get(fi).unwrap_or(self.frame)
+    }
+}
+
+impl FaultFrames for TFrames<'_, '_> {
+    fn depth(&self) -> usize {
+        self.stack.len() + 1
+    }
+
+    fn written(&self, fi: usize) -> &[bool] {
+        &self.get(fi).written
+    }
+
+    fn reg_mut(&mut self, fi: usize, ri: usize) -> &mut Value {
+        let f = if fi < self.stack.len() {
+            &mut self.stack[fi]
+        } else {
+            &mut *self.frame
+        };
+        &mut f.regs[ri]
+    }
+
+    fn point(&self, fi: usize) -> (u32, u32, u32) {
+        point(self.tfuncs, self.get(fi))
+    }
 }
 
 /// Threaded-tier twin of the reference skip path: the step at the
@@ -1420,14 +1050,12 @@ fn skip_target_is_intrinsic(ctx: &Ctx<'_>) -> bool {
 /// order — exactly the reference tier's fall-through. Running past the
 /// function's last step is [`Trap::CodeRunoff`].
 fn fire_skip(ctx: &mut Ctx<'_>) -> (InjectionRecord, Option<Trap>) {
-    let (block, ip) = ctx.tprog.funcs[ctx.frame.func as usize].loc[ctx.frame.pc as usize];
-    let record = InjectionRecord {
-        function: ctx.module.functions[ctx.frame.func as usize].name.clone(),
-        block: rskip_ir::BlockId(block),
-        ip: ip as usize,
-        at_retired: ctx.counters.retired,
-        effect: FaultEffect::SkippedInstruction,
-    };
+    let record = record(
+        ctx.module,
+        point(ctx.tfuncs, &ctx.frame),
+        ctx.counters.retired,
+        FaultEffect::SkippedInstruction,
+    );
     // The bubble still retires.
     tick(ctx);
     ctx.frame.pc += 1;

@@ -15,7 +15,7 @@
 //! rskip-eval verify  [--store DIR] [--json]
 //! rskip-eval lint   [--size ...] [--json]
 //! rskip-eval supervise [--size ...] [--runs N]
-//! rskip-eval bench  [--size ...] [--runs N] [--bench NAME] [--tier match|threaded-nofuse|threaded] [--json]
+//! rskip-eval bench  [--size ...] [--runs N] [--bench NAME] [--tier match|threaded] [--json]
 //! rskip-eval campaign [--size ...] [--runs N] [--bench NAME] [--fault-model seu|skip|burst:N[,..]] [--json]
 //! rskip-eval vuln   [--size ...] [--runs N] [--bench NAME[,NAME..]] [--fault-model ...] [--json]
 //!                   [--incremental] [--oracle-limit N] [--store DIR]
@@ -63,9 +63,8 @@
 //!
 //! `bench` measures serial fault-injection-campaign throughput per
 //! execution tier (reference `match` interpreter vs the direct-threaded
-//! tier with and without superinstruction fusion) and prints trials/sec,
-//! fusion counts and decode-cache activity. Without `--tier` it measures
-//! all tiers and exits 1 if the threaded tier is not faster than
+//! tier) and prints trials/sec and decode-cache activity. Without
+//! `--tier` it measures both tiers and exits 1 if the threaded tier is not faster than
 //! `match`; `--tier` (or the `RSKIP_EXEC_TIER` environment variable)
 //! narrows the measurement to one tier with no comparison gate.
 //!
@@ -200,9 +199,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--tier" => {
                 let v = value()?;
-                parsed.tier = Some(rskip_exec::ExecTier::parse(&v).ok_or(format!(
-                    "unknown tier `{v}` (match | threaded-nofuse | threaded)"
-                ))?);
+                parsed.tier = Some(
+                    rskip_exec::ExecTier::parse(&v)
+                        .ok_or(format!("unknown tier `{v}` (match | threaded)"))?,
+                );
             }
             "--bench" => parsed.bench = value()?,
             "--fault-model" => {
@@ -278,7 +278,7 @@ fn usage() -> String {
     "usage: rskip-eval <table1|fig2|fig7|fig8a|fig8b|fig9|tradeoff|cost-ratio|ablations|all\
      |supervise|lint|train|inspect|verify|bench|campaign|vuln|serve|submit|serve-bench> \
      [--size tiny|small|full] [--runs N] [--inputs N] [--out DIR] [--store DIR] [--json] \
-     [--tier match|threaded-nofuse|threaded] [--bench NAME] \
+     [--tier match|threaded] [--bench NAME] \
      [--fault-model seu|skip|burst:N[,...]] \
      [--addr HOST:PORT] [--workers N] [--queue N] [--chunk N] [--jobs N] [--tenant NAME] \
      [--scheme unsafe|swift-r|arN|arN-di] [--stop-half-width F] [--stop-metric sdc|correct] \
@@ -558,7 +558,7 @@ fn main() {
             let setup = engine.setup(&args.bench);
             let ar = rskip_harness::ArSetting { percent: 20 };
             // `--tier` (or an explicit RSKIP_EXEC_TIER) narrows to one
-            // tier; otherwise measure all tiers and gate on the speedup.
+            // tier; otherwise measure both tiers and gate on the speedup.
             let single = args.tier.or_else(|| {
                 std::env::var("RSKIP_EXEC_TIER")
                     .ok()

@@ -5,28 +5,24 @@
 //! fault-injection campaign serially under every [`ExecTier`], assert the
 //! tiers agree trial-for-trial (a throughput number from a wrong
 //! interpreter is worse than no number), and report trials/sec per tier
-//! plus the decode-cache and fusion statistics behind the speedup.
+//! plus the decode-cache activity behind the measurement.
 
 use std::time::Instant;
 
 use serde::Serialize;
 
-use rskip_exec::{decode_cache_stats, Decoded, ExecTier, FusionStats};
+use rskip_exec::{decode_cache_stats, ExecTier};
 
 use crate::build::{ArSetting, BenchSetup};
 use crate::campaign::{Campaign, CampaignStats};
 
 /// The tiers a throughput report covers, slowest first.
-pub const TIERS: [ExecTier; 3] = [
-    ExecTier::Match,
-    ExecTier::ThreadedNoFuse,
-    ExecTier::Threaded,
-];
+pub const TIERS: [ExecTier; 2] = [ExecTier::Match, ExecTier::Threaded];
 
 /// One tier's serial measurement.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct TierThroughput {
-    /// Tier name (`match` | `threaded-nofuse` | `threaded`).
+    /// Tier name (`match` | `threaded`).
     pub tier: &'static str,
     /// Seconds per campaign (mean over the timed repetitions).
     pub secs: f64,
@@ -56,47 +52,9 @@ pub struct BenchThroughput {
     pub trials: u32,
     /// Per-tier serial measurements, slowest tier first.
     pub tiers: Vec<TierThroughput>,
-    /// Static superinstruction-fusion counts of this benchmark's decode.
-    pub fusion: FusionSummary,
     /// Decode-cache activity while measuring (the campaign, all tier
     /// switches and every trial share exactly one decode per module).
     pub decode_cache: DecodeCacheDelta,
-}
-
-/// Serializable mirror of [`FusionStats`].
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct FusionSummary {
-    /// `load ; bin ; store` groups.
-    pub load_bin_store: u64,
-    /// `load ; bin` groups.
-    pub load_bin: u64,
-    /// `bin ; store` groups.
-    pub bin_store: u64,
-    /// `bin ; load` groups.
-    pub bin_load: u64,
-    /// `cmp ; condbr` groups.
-    pub cmp_br: u64,
-    /// Generic two-wide chained groups (tiling pass).
-    pub pair: u64,
-    /// Generic three-wide chained groups (tiling pass).
-    pub triple: u64,
-    /// Sum over all patterns.
-    pub total: u64,
-}
-
-impl From<FusionStats> for FusionSummary {
-    fn from(f: FusionStats) -> Self {
-        FusionSummary {
-            load_bin_store: f.load_bin_store,
-            load_bin: f.load_bin,
-            bin_store: f.bin_store,
-            bin_load: f.bin_load,
-            cmp_br: f.cmp_br,
-            pair: f.pair,
-            triple: f.triple,
-            total: f.total(),
-        }
-    }
 }
 
 /// One serial campaign, timed.
@@ -199,14 +157,12 @@ pub fn measure_tier_subset(
         });
     }
 
-    let fusion = Decoded::new(&setup.rskip.module).fusion_stats();
     let cache_after = decode_cache_stats();
     BenchThroughput {
         benchmark: setup.bench.meta().name.to_string(),
         scheme: ar.label(),
         trials,
         tiers: rows,
-        fusion: fusion.into(),
         decode_cache: DecodeCacheDelta {
             hits: cache_after.hits - cache_before.hits,
             misses: cache_after.misses - cache_before.misses,
@@ -237,20 +193,6 @@ impl BenchThroughput {
                 t.tier, t.secs, t.trials_per_sec, t.speedup_vs_match
             );
         }
-        let f = &self.fusion;
-        let _ = writeln!(
-            s,
-            "  fusion: {} groups (load+bin+store {}, load+bin {}, bin+store {}, bin+load {}, \
-             cmp+br {}, pair {}, triple {})",
-            f.total,
-            f.load_bin_store,
-            f.load_bin,
-            f.bin_store,
-            f.bin_load,
-            f.cmp_br,
-            f.pair,
-            f.triple
-        );
         let _ = writeln!(
             s,
             "  decode cache: {} misses, {} hits",

@@ -117,12 +117,7 @@ fn chunked_equals_one_shot_across_chunkings_threads_and_tiers() {
     // which is what the env knob feeds), and every execution tier.
     for chunk in [33, 100, 250, TRIALS] {
         for threads in [1, 2, 8] {
-            for tier in [
-                None,
-                Some(ExecTier::Match),
-                Some(ExecTier::ThreadedNoFuse),
-                Some(ExecTier::Threaded),
-            ] {
+            for tier in [None, Some(ExecTier::Match), Some(ExecTier::Threaded)] {
                 let merged = chunked(&setup, ar, tier, threads, chunk, sizing);
                 assert_eq!(
                     encode(&merged),

@@ -117,6 +117,29 @@ fn streamed_job_is_byte_identical_to_cli_driver() {
     server.shutdown();
 }
 
+/// `threaded-nofuse` named a removed variant of the threaded tier; wire
+/// jobs that still send it are accepted and run as `threaded`.
+#[test]
+fn retired_tier_name_runs_as_threaded() {
+    let server = tiny_server(None);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut done = Vec::new();
+    for tier in ["threaded", "threaded-nofuse"] {
+        let mut spec = JobSpec::new("conv1d", "ar20", "seu", 60);
+        spec.tier = tier.into();
+        let job = client.submit_accepted(&spec).expect("accept");
+        let outcome = client.stream_job(job, |_| {}).expect("stream");
+        assert_eq!(outcome.done.executed, 60, "{tier}");
+        assert!(
+            !outcome.done.cached,
+            "{tier} must execute, not hit the cache"
+        );
+        done.push(outcome.done.stats);
+    }
+    assert_eq!(encode(&done[0]), encode(&done[1]));
+    server.shutdown();
+}
+
 #[test]
 fn early_stop_executes_fewer_trials_than_requested() {
     let server = tiny_server(None);

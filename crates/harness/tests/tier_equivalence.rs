@@ -1,7 +1,7 @@
 //! Differential tier-equivalence suite.
 //!
-//! The execution tiers ([`ExecTier::Match`], [`ExecTier::ThreadedNoFuse`],
-//! [`ExecTier::Threaded`]) are one semantics with three speeds: every
+//! The execution tiers ([`ExecTier::Match`], [`ExecTier::Threaded`]) are
+//! one semantics with two speeds: every
 //! observable — memory image, architectural counters, timing (cycles,
 //! mispredicts), termination, injection records, fault verdicts — must be
 //! byte-identical across them. A throughput number from an interpreter
@@ -13,7 +13,7 @@
 //! 2. fault-injection campaign trials, compared trial-by-trial (not just
 //!    in aggregate) with full memory snapshots;
 //! 3. a sampled exhaustive [`enumerate_flips`] sweep, whose probes arm
-//!    the [`ExactFlip`] mid-group decomposition path that ordinary runs
+//!    the [`ExactFlip`] boundary-exact event-fuel path that ordinary runs
 //!    rarely stress.
 
 use rskip_exec::{
@@ -179,8 +179,8 @@ fn campaign_trials_are_byte_identical_per_trial() {
 
 /// Campaigns under the non-SEU fault models, compared trial-by-trial
 /// across tiers and in aggregate across worker counts. Skip faults
-/// exercise the bubble-retire path (and the threaded tier's fused-group
-/// decomposition); bursts exercise the windowed multi-bit injector.
+/// exercise the bubble-retire path (and the threaded tier's stop at an
+/// exact event boundary); bursts exercise the windowed multi-bit injector.
 #[test]
 fn skip_and_burst_campaigns_are_deterministic_across_tiers_and_threads() {
     let engine = tiny_engine();
@@ -302,9 +302,8 @@ fn micro_module() -> Module {
 
 /// Sampled exhaustive flip sweep under every tier: every probe's verdict
 /// (and position) must agree exactly. `ExactFlip` probes fire at precise
-/// instruction boundaries, which forces the threaded tier through its
-/// fused-group decomposition path — the trickiest part of the fuel
-/// bookkeeping.
+/// instruction boundaries, which forces the threaded tier's event fuel
+/// to stop exactly there — the trickiest part of the fuel bookkeeping.
 #[test]
 fn exact_flip_enumeration_verdicts_agree_across_tiers() {
     let plain = micro_module();
@@ -344,8 +343,8 @@ fn exact_flip_enumeration_verdicts_agree_across_tiers() {
 
 /// The same exhaustive agreement, for the other two fault models: every
 /// skip and burst probe's verdict must be identical under every tier.
-/// Skip probes in particular force the threaded tier to decompose fused
-/// groups and retire a bubble at an exact boundary.
+/// Skip probes in particular force the threaded tier to stop its event
+/// fuel and retire a bubble at an exact boundary.
 #[test]
 fn skip_and_burst_enumeration_verdicts_agree_across_tiers() {
     let plain = micro_module();

@@ -19,11 +19,7 @@ fn vuln_json_tiny_matches_golden_on_every_tier() {
     let engine = Engine::new(EvalOptions::at_size(SizeProfile::Tiny));
     let models = [FaultModel::SingleBitSeu, FaultModel::InstructionSkip];
     let golden = include_str!("golden/vuln_tiny_24.json");
-    for tier in [
-        ExecTier::Match,
-        ExecTier::ThreadedNoFuse,
-        ExecTier::Threaded,
-    ] {
+    for tier in [ExecTier::Match, ExecTier::Threaded] {
         let opts = VulnOptions {
             runs: 24,
             oracle_limit: 0,

@@ -58,8 +58,9 @@ pub struct JobSpec {
     pub scheme: String,
     /// Fault model label: `seu`, `skip`, `burst:N`.
     pub fault_model: String,
-    /// Execution tier (`match`, `threaded-nofuse`, `threaded`), or
-    /// empty for the server's default.
+    /// Execution tier (`match`, `threaded`), or empty for the server's
+    /// default. The retired name `threaded-nofuse` is still accepted and
+    /// runs as `threaded`.
     pub tier: String,
     /// Requested trial count.
     pub trials: u32,

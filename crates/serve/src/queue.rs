@@ -78,6 +78,14 @@ impl<T> JobQueue<T> {
     /// [`close`](JobQueue::close). The item is dropped either way — the
     /// caller answers the client with a typed rejection, not a retry.
     pub fn try_push(&self, item: T) -> Result<(), PushError> {
+        self.try_push_then(item, || {})
+    }
+
+    /// [`try_push`](JobQueue::try_push) that runs `on_admit` once the
+    /// item is sure to be admitted but before any consumer can pop it.
+    /// The server sends the client's `Accepted` frame there, so a fast
+    /// worker's progress frames can never overtake it.
+    pub(crate) fn try_push_then(&self, item: T, on_admit: impl FnOnce()) -> Result<(), PushError> {
         let mut st = self.state.lock().unwrap();
         if st.closed {
             return Err(PushError::Closed);
@@ -87,6 +95,7 @@ impl<T> JobQueue<T> {
                 queued: st.items.len(),
             });
         }
+        on_admit();
         st.items.push_back(item);
         drop(st);
         self.ready.notify_one();

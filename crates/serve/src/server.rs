@@ -732,45 +732,45 @@ fn admit<R: CampaignRunner>(
         }
     }
 
-    match queue.try_push(job) {
-        Ok(()) => {
-            let _ = out.send(Response::Accepted {
-                job: id,
-                trials,
-                chunk,
-            });
+    // `Accepted` goes on the connection's channel before a worker can
+    // pop the job, so the job's own frames always follow it.
+    let accepted = || {
+        let _ = out.send(Response::Accepted {
+            job: id,
+            trials,
+            chunk,
+        });
+    };
+    if let Err(err) = queue.try_push_then(job, accepted) {
+        registry.lock().unwrap().remove(&id);
+        state.clear_inflight(key);
+        if let Some(s) = parked {
+            // Progress must not be lost to a full queue.
+            if let Some(k) = key {
+                state.suspended.lock().unwrap().insert(k, s);
+            }
         }
-        Err(err) => {
-            registry.lock().unwrap().remove(&id);
-            state.clear_inflight(key);
-            if let Some(s) = parked {
-                // Progress must not be lost to a full queue.
-                if let Some(k) = key {
-                    state.suspended.lock().unwrap().insert(k, s);
-                }
-            }
-            // Terminate the journaled acceptance so a restart does not
-            // resurrect a job the client was told to retry.
-            state.journal_event(
-                key,
-                &tenant,
-                &JournalEvent::Cancelled {
-                    job: id,
-                    executed: start_executed,
-                },
-            );
-            match err {
-                PushError::Full { queued } => reject(
-                    ErrorKind::QueueFull,
-                    format!("queue at capacity ({queued} jobs waiting)"),
-                    Some(backoff_hint_ms(queued, state.next_jitter())),
-                ),
-                PushError::Closed => reject(
-                    ErrorKind::ShuttingDown,
-                    "server is draining for shutdown".to_string(),
-                    None,
-                ),
-            }
+        // Terminate the journaled acceptance so a restart does not
+        // resurrect a job the client was told to retry.
+        state.journal_event(
+            key,
+            &tenant,
+            &JournalEvent::Cancelled {
+                job: id,
+                executed: start_executed,
+            },
+        );
+        match err {
+            PushError::Full { queued } => reject(
+                ErrorKind::QueueFull,
+                format!("queue at capacity ({queued} jobs waiting)"),
+                Some(backoff_hint_ms(queued, state.next_jitter())),
+            ),
+            PushError::Closed => reject(
+                ErrorKind::ShuttingDown,
+                "server is draining for shutdown".to_string(),
+                None,
+            ),
         }
     }
 }
