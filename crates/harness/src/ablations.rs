@@ -320,11 +320,6 @@ pub fn run_with(engine: &Engine) -> Ablations {
     }
 }
 
-/// Runs all ablations.
-pub fn run(options: &EvalOptions) -> Ablations {
-    run_with(&Engine::new(options.clone()))
-}
-
 impl Ablations {
     /// Renders all three tables.
     pub fn render(&self) -> String {

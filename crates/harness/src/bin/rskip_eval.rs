@@ -15,7 +15,7 @@
 //! rskip-eval verify  [--store DIR] [--json]
 //! rskip-eval lint   [--size ...] [--json]
 //! rskip-eval supervise [--size ...] [--runs N]
-//! rskip-eval bench  [--size ...] [--runs N] [--bench NAME] [--tier match|threaded] [--json]
+//! rskip-eval bench  [--size ...] [--runs N] [--bench NAME[,NAME..]] [--json] [--out DIR]
 //! rskip-eval campaign [--size ...] [--runs N] [--bench NAME] [--fault-model seu|skip|burst:N[,..]] [--json]
 //! rskip-eval vuln   [--size ...] [--runs N] [--bench NAME[,NAME..]] [--fault-model ...] [--json]
 //!                   [--incremental] [--oracle-limit N] [--store DIR]
@@ -61,12 +61,14 @@
 //! cache hit/miss counts). Exits 1 on any soundness or accounting
 //! violation.
 //!
-//! `bench` measures serial fault-injection-campaign throughput per
-//! execution tier (reference `match` interpreter vs the direct-threaded
-//! tier) and prints trials/sec and decode-cache activity. Without
-//! `--tier` it measures both tiers and exits 1 if the threaded tier is not faster than
-//! `match`; `--tier` (or the `RSKIP_EXEC_TIER` environment variable)
-//! narrows the measurement to one tier with no comparison gate.
+//! `bench` measures serial fault-injection-campaign throughput of each
+//! listed benchmark per execution tier (reference `match` interpreter vs
+//! the direct-threaded tier), plus serial vs worker-pool throughput of
+//! the first one, and prints trials/sec and decode-cache activity. It
+//! always measures both tiers and exits 1 if the threaded tier is not
+//! faster than `match` on any listed benchmark. `rskip-eval bench --size
+//! tiny --runs 120 --bench conv1d,kde --json` regenerates
+//! `results/BENCH_campaign.json`.
 //!
 //! `supervise` replays a drifting-input workload with and without the
 //! runtime supervisor and runs the runtime-state SEU campaign with
@@ -145,6 +147,17 @@ struct Args {
     state_dir: Option<PathBuf>,
     resume: bool,
     retry: u32,
+}
+
+impl Args {
+    /// `--bench` as a comma list of benchmark names.
+    fn bench_list(&self) -> Vec<String> {
+        self.bench
+            .split(',')
+            .filter(|b| !b.is_empty())
+            .map(str::to_string)
+            .collect()
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -555,28 +568,13 @@ fn main() {
             }
         }
         "bench" => {
-            let setup = engine.setup(&args.bench);
+            let setups: Vec<_> = args.bench_list().iter().map(|b| engine.setup(b)).collect();
+            if setups.is_empty() {
+                eprintln!("rskip-eval bench: --bench names no benchmark");
+                std::process::exit(2);
+            }
             let ar = rskip_harness::ArSetting { percent: 20 };
-            // `--tier` (or an explicit RSKIP_EXEC_TIER) narrows to one
-            // tier; otherwise measure both tiers and gate on the speedup.
-            let single = args.tier.or_else(|| {
-                std::env::var("RSKIP_EXEC_TIER")
-                    .ok()
-                    .map(|_| rskip_exec::ExecTier::from_env())
-            });
-            let report = match single {
-                Some(t) => rskip_harness::throughput::measure_tier_subset(
-                    &setup,
-                    ar,
-                    args.runs,
-                    0xC0FF_EE00,
-                    5,
-                    &[t],
-                ),
-                None => {
-                    rskip_harness::throughput::measure_tiers(&setup, ar, args.runs, 0xC0FF_EE00, 5)
-                }
-            };
+            let report = rskip_harness::throughput::measure(&setups, ar, args.runs, 0xC0FF_EE00, 5);
             if args.json {
                 match serde_json::to_string_pretty(&report) {
                     Ok(s) => println!("{s}"),
@@ -589,14 +587,19 @@ fn main() {
                 print!("{}", report.render());
             }
             save_json(&args.out, "bench", &report);
-            if single.is_none() {
-                let speedup = rskip_harness::throughput::threaded_speedup(&report);
+            let mut slower = false;
+            for b in &report.benchmarks {
+                let speedup = rskip_harness::throughput::threaded_speedup(b);
                 if speedup < 1.0 {
                     eprintln!(
-                        "rskip-eval bench: FAIL threaded tier slower than match ({speedup:.2}x)"
+                        "rskip-eval bench: FAIL threaded tier slower than match on {} ({speedup:.2}x)",
+                        b.benchmark
                     );
-                    std::process::exit(1);
+                    slower = true;
                 }
+            }
+            if slower {
+                std::process::exit(1);
             }
         }
         "vuln" => {
@@ -605,12 +608,7 @@ fn main() {
             } else {
                 args.fault_models.clone()
             };
-            let benches: Vec<String> = args
-                .bench
-                .split(',')
-                .filter(|b| !b.is_empty())
-                .map(str::to_string)
-                .collect();
+            let benches = args.bench_list();
             let opts = rskip_harness::vuln::VulnOptions {
                 runs: args.runs,
                 oracle_limit: args.oracle_limit,

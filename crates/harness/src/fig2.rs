@@ -15,7 +15,7 @@ use serde::Serialize;
 use rskip_exec::{Machine, NoopHooks};
 use rskip_predict::trend::{top_k_coverage, trend_coverage};
 
-use crate::build::{BenchSetup, EvalOptions};
+use crate::build::BenchSetup;
 use crate::report::{percent, TextTable};
 
 /// Trend threshold: consecutive relative change below 10% keeps the
@@ -84,11 +84,6 @@ pub fn run_with(engine: &crate::experiment::Engine) -> Fig2 {
     let names = crate::experiment::all_bench_names();
     let rows = engine.over(&names, run_bench);
     Fig2 { rows }
-}
-
-/// Runs Figure 2 over all benchmarks.
-pub fn run(options: &EvalOptions) -> Fig2 {
-    run_with(&crate::experiment::Engine::new(options.clone()))
 }
 
 impl Fig2 {

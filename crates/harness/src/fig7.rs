@@ -7,7 +7,7 @@
 
 use serde::Serialize;
 
-use crate::build::{ArSetting, BenchSetup, EvalOptions};
+use crate::build::{ArSetting, BenchSetup};
 use crate::experiment::{Engine, SchemeVariant, Sweep, TimedRow};
 use crate::report::{percent, ratio, TextTable};
 use crate::AR_SETTINGS;
@@ -77,12 +77,6 @@ pub fn run_with(engine: &Engine) -> Fig7 {
         .map(from_timed_row)
         .collect();
     Fig7 { rows }
-}
-
-/// Runs Figure 7 over all benchmarks in parallel (thread count from
-/// `RAYON_NUM_THREADS`, else available parallelism).
-pub fn run(options: &EvalOptions) -> Fig7 {
-    run_with(&Engine::new(options.clone()))
 }
 
 impl Fig7 {

@@ -7,7 +7,7 @@
 
 use serde::Serialize;
 
-use crate::build::{ArSetting, EvalOptions};
+use crate::build::ArSetting;
 use crate::campaign::{num_threads, parallel_map_indexed};
 use crate::experiment::{Engine, SchemeVariant, Sweep};
 use crate::report::{percent, ratio, TextTable};
@@ -65,11 +65,6 @@ pub fn run_8a_with(engine: &Engine) -> Fig8a {
         })
         .collect();
     Fig8a { points }
-}
-
-/// Runs Fig. 8a (blackscholes ablation).
-pub fn run_8a(options: &EvalOptions) -> Fig8a {
-    run_8a_with(&Engine::new(options.clone()))
 }
 
 impl Fig8a {
@@ -146,11 +141,6 @@ pub fn run_8b_with(engine: &Engine, n_inputs: u32) -> Fig8b {
         }
     });
     Fig8b { points }
-}
-
-/// Runs Fig. 8b (lud input-diversity sweep) over `n_inputs` test inputs.
-pub fn run_8b(options: &EvalOptions, n_inputs: u32) -> Fig8b {
-    run_8b_with(&Engine::new(options.clone()), n_inputs)
 }
 
 impl Fig8b {

@@ -10,7 +10,7 @@
 
 use serde::Serialize;
 
-use crate::build::{BenchSetup, EvalOptions};
+use crate::build::BenchSetup;
 use crate::campaign::CampaignStats;
 pub use crate::campaign::ClassCounts;
 use crate::experiment::{CampaignRow, Engine, SchemeVariant, Sweep};
@@ -158,12 +158,6 @@ pub fn run_with(engine: &Engine, runs: u32) -> Fig9 {
         .map(from_campaign_row)
         .collect();
     Fig9 { rows, runs }
-}
-
-/// Runs the campaign over all benchmarks in parallel (thread count from
-/// `RAYON_NUM_THREADS`, else available parallelism).
-pub fn run(options: &EvalOptions, runs: u32) -> Fig9 {
-    run_with(&Engine::new(options.clone()), runs)
 }
 
 impl Fig9 {

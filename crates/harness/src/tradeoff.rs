@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 
-use crate::build::{ArSetting, EvalOptions};
+use crate::build::ArSetting;
 use crate::experiment::Engine;
 use crate::fig7::Fig7;
 use crate::fig9::{Fig9, SchemeLabel};
@@ -55,11 +55,6 @@ pub fn run_with(engine: &Engine, runs: u32) -> Tradeoff {
     let fig7 = crate::fig7::run_with(engine);
     let fig9 = crate::fig9::run_with(engine, runs);
     join(&fig7, &fig9)
-}
-
-/// Runs both underlying experiments and joins them.
-pub fn run(options: &EvalOptions, runs: u32) -> Tradeoff {
-    run_with(&Engine::new(options.clone()), runs)
 }
 
 impl Tradeoff {

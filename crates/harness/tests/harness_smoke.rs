@@ -3,6 +3,7 @@
 
 use rskip_harness::build::{ArSetting, BenchSetup, EvalOptions};
 use rskip_harness::fig9::SchemeLabel;
+use rskip_harness::Engine;
 use rskip_workloads::SizeProfile;
 
 fn tiny_options() -> EvalOptions {
@@ -55,7 +56,7 @@ fn fig8a_memoizer_lifts_blackscholes() {
         train_seeds: vec![1000, 1001, 1002, 1003],
         ..tiny_options()
     };
-    let fig = rskip_harness::fig8::run_8a(&opts);
+    let fig = rskip_harness::fig8::run_8a_with(&Engine::new(opts));
     assert_eq!(fig.points.len(), 4);
     for p in &fig.points {
         assert!(p.full_skip >= p.di_skip - 0.05, "AR{}", p.ar);
@@ -65,7 +66,7 @@ fn fig8a_memoizer_lifts_blackscholes() {
 
 #[test]
 fn fig8b_covers_requested_inputs() {
-    let fig = rskip_harness::fig8::run_8b(&tiny_options(), 3);
+    let fig = rskip_harness::fig8::run_8b_with(&Engine::new(tiny_options()), 3);
     assert_eq!(fig.points.len(), 3);
     for p in &fig.points {
         assert!(p.swift_r_time > 1.0);

@@ -328,6 +328,28 @@ fn error_paths_leave_the_server_serving() {
 }
 
 #[test]
+fn deeply_nested_line_is_malformed_not_fatal() {
+    let server = Server::bind("127.0.0.1:0", Arc::new(MockRunner), ServerConfig::default())
+        .expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    // A parser that recurses once per nesting level with no bound
+    // overflows the connection thread's stack on this line, which
+    // aborts the whole server process.
+    client.send_raw(&"[".repeat(200_000)).expect("send");
+    match client.recv().expect("frame") {
+        Response::Error { error, .. } => assert_eq!(error, ErrorKind::MalformedFrame),
+        other => panic!("expected MalformedFrame error, got {other:?}"),
+    }
+
+    let job = client.submit_accepted(&spec(50, 10)).expect("accept");
+    let outcome = client.stream_job(job, |_| {}).expect("stream");
+    assert_eq!(outcome.done.executed, 50);
+
+    server.shutdown();
+}
+
+#[test]
 fn queue_full_rejects_with_backoff_hint() {
     let (started_tx, started_rx) = channel();
     let (release_tx, release_rx) = channel();
