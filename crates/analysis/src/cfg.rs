@@ -103,11 +103,6 @@ impl Cfg {
     pub fn is_reachable(&self, b: BlockId) -> bool {
         self.rpo_index[b.index()].is_some()
     }
-
-    /// Number of blocks (reachable or not).
-    pub fn num_blocks(&self) -> usize {
-        self.succs.len()
-    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,11 @@
 
 use rskip_ir::{BinOp, Inst, Ty, UnOp};
 
-/// Coarse instruction classes shared by the cost model and the timing
-/// model.
+/// Coarse instruction classes of the static cost model. The timing model
+/// does not use them: `rskip-exec` keeps its own functional-unit classes
+/// (`OpClass`, assigned by `class_of`), which group divides and square
+/// roots into one unpipelined unit, so the two classifications differ
+/// and are kept separately.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InstClass {
     /// Integer ALU (add/sub/logic/shift/min/max), moves, selects, compares.

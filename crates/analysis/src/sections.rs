@@ -152,11 +152,6 @@ impl SectionMap {
         let fi = *self.by_name.get(func)?;
         Some(self.section_of(fi, b))
     }
-
-    /// Index of the function named `name`, if present.
-    pub fn func_index(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
-    }
 }
 
 /// Partitions one function; returns the per-block section assignment.

@@ -234,12 +234,6 @@ impl BackwardSlice {
         Ok(slice)
     }
 
-    /// Total number of instructions in the slice (direct blocks only; use
-    /// the cost model with subloop trip counts for weighted cost).
-    pub fn direct_inst_count(&self) -> usize {
-        self.insts.len()
-    }
-
     /// True if the slice is a single direct call and nothing else — the
     /// function-call pattern of paper Fig. 4a.
     pub fn is_single_call(&self) -> bool {

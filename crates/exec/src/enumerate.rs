@@ -10,8 +10,7 @@
 //! [`FaultModel`]:
 //!
 //! * [`FaultModel::SingleBitSeu`] — one case per
-//!   `(boundary, live register, bit)` triple (the original sweep,
-//!   [`enumerate_flips`]);
+//!   `(boundary, live register, bit)` triple (the original sweep);
 //! * [`FaultModel::MultiBitBurst`] — one case per
 //!   `(boundary, live register, window start)` triple, with window starts
 //!   taken from `bits`, clamped so the window fits in 64 bits and
@@ -43,7 +42,9 @@
 use rskip_ir::{BlockId, Module, Reg, Value};
 
 use crate::decoded::Decoded;
-use crate::fault::{classify_outcome, ExactFault, ExactFaultKind, FaultModel, OutcomeClass};
+use crate::fault::{
+    classify_outcome, skip_holds_fire, ExactFault, ExactFaultKind, FaultModel, OutcomeClass,
+};
 use crate::hooks::RuntimeHooks;
 use crate::machine::{ExecConfig, Machine, Termination};
 
@@ -164,37 +165,6 @@ impl std::fmt::Display for EnumError {
 }
 
 impl std::error::Error for EnumError {}
-
-/// Exhaustively enumerates single-bit register flips over a micro-region:
-/// [`enumerate_faults`] under [`FaultModel::SingleBitSeu`], kept as the
-/// named entry point the original cross-validation contract is phrased
-/// in. `bits` selects the bit positions swept (pass
-/// `&(0..64).collect::<Vec<_>>()` for the full sweep).
-///
-/// # Panics
-///
-/// Panics if `entry` does not exist or the argument count mismatches
-/// (entry setup errors are caller bugs, as with [`Machine::run`]).
-pub fn enumerate_flips<H: RuntimeHooks>(
-    module: &Module,
-    entry: &str,
-    args: &[Value],
-    exec: &ExecConfig,
-    make_hooks: impl FnMut() -> H,
-    bits: &[u32],
-    max_boundaries: u64,
-) -> Result<Enumeration, EnumError> {
-    enumerate_faults(
-        module,
-        entry,
-        args,
-        exec,
-        make_hooks,
-        FaultModel::SingleBitSeu,
-        bits,
-        max_boundaries,
-    )
-}
 
 /// Exhaustively enumerates the fault space of `model` over a
 /// micro-region.
@@ -349,12 +319,7 @@ pub fn enumerate_faults_pruned<H: RuntimeHooks>(
             // An armed skip holds fire over intrinsic boundaries, so a
             // probe here would really strike (and be classified at) a
             // later boundary under the census label of this one.
-            let next_is_intrinsic = module.functions[entry_at.func as usize].blocks
-                [entry_at.block as usize]
-                .insts
-                .get(entry_at.ip as usize)
-                .is_some_and(|inst| matches!(inst, rskip_ir::Inst::IntrinsicCall { .. }));
-            if next_is_intrinsic {
+            if skip_holds_fire(module, (entry_at.func, entry_at.block, entry_at.ip)) {
                 intrinsic_boundaries += 1;
             } else if prune(
                 function,

@@ -5,11 +5,10 @@
 //! enumeration and the lint contract can also reason about multi-bit
 //! bursts and instruction-skip faults (Moro et al., arXiv 1402.6461).
 
-use rskip_ir::{BlockId, Module, Reg, Value};
+use rskip_ir::{BlockId, Inst, Module, Reg, Value};
 use serde::Serialize;
 
 use crate::counters::Counters;
-use crate::decoded::{DFunc, DInst};
 use crate::machine::{RunOutcome, Termination, Trap};
 
 pub use rskip_core::stats::OutcomeClass;
@@ -283,15 +282,18 @@ pub(crate) fn record(
     }
 }
 
-/// True when the program point `(function, block, ip)` is an intrinsic
-/// call — the one shape a skip fault must hold fire over (the runtime
-/// interface executes host-side; swallowing a call would desync the
-/// runtime's own metadata rather than the emulated program state).
-pub(crate) fn skip_holds_fire(funcs: &[DFunc], (func, block, ip): (u32, u32, u32)) -> bool {
-    funcs[func as usize].blocks[block as usize]
+/// True when the next instruction at the program point
+/// `(function, block, ip)` of `module` is an intrinsic call — the one
+/// shape a skip fault holds fire over (the runtime interface executes
+/// host-side; swallowing a call would desync the runtime's own metadata
+/// rather than the emulated program state). Both tiers ask this before
+/// firing a skip, and every skip-site universe (the enumeration oracle,
+/// census-derived campaign universes) excludes these boundaries.
+pub fn skip_holds_fire(module: &Module, (func, block, ip): (u32, u32, u32)) -> bool {
+    module.functions[func as usize].blocks[block as usize]
         .insts
         .get(ip as usize)
-        .is_some_and(|step| matches!(step.op, DInst::IntrinsicCall { .. }))
+        .is_some_and(|inst| matches!(inst, Inst::IntrinsicCall { .. }))
 }
 
 /// One armed random fault: at the `trigger`-th retired instruction
@@ -314,32 +316,12 @@ pub struct InjectionPlan {
     pub model: FaultModel,
 }
 
-/// One deterministic single-bit flip — the SEU-specific legacy form of
-/// [`ExactFault`], kept because the original cross-validation suite and
-/// enumeration API are phrased in terms of it: at the `at`-th instruction
-/// boundary (counting every executed instruction and terminator, anywhere
-/// in the program), flip bit `bit` of register `reg` in the innermost
-/// active frame.
-///
-/// Unlike [`InjectionPlan`] there is no randomness: a full enumeration
-/// sweeps `at` over every boundary of a clean trace, `reg` over the
-/// registers written at that boundary and `bit` over bit positions —
-/// see [`crate::enumerate_flips`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExactFlip {
-    /// The instruction boundary to fire at: the flip happens after `at`
-    /// instructions/terminators have executed, before the next one.
-    pub at: u64,
-    /// Register to flip in the innermost (currently executing) frame. If
-    /// it has not been written yet the flip is skipped (dead target).
-    pub reg: Reg,
-    /// The bit position to flip.
-    pub bit: u32,
-}
-
-/// One deterministic fault for exhaustive enumeration, generalizing
-/// [`ExactFlip`] across fault models: at the `at`-th instruction boundary
-/// apply `kind` to the innermost active frame.
+/// One deterministic fault for exhaustive enumeration: at the `at`-th
+/// instruction boundary (counting every executed instruction and
+/// terminator, anywhere in the program) apply `kind` to the innermost
+/// active frame. Unlike [`InjectionPlan`] there is no randomness: a full
+/// enumeration sweeps `at` over every boundary of a clean trace — see
+/// [`crate::enumerate_faults`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExactFault {
     /// The instruction boundary to fire at: the effect happens after `at`
@@ -373,18 +355,6 @@ pub enum ExactFaultKind {
     /// a bubble with no architectural effect. Dead target if the boundary
     /// lies past the end of the program.
     Skip,
-}
-
-impl From<ExactFlip> for ExactFault {
-    fn from(flip: ExactFlip) -> ExactFault {
-        ExactFault {
-            at: flip.at,
-            kind: ExactFaultKind::BitFlip {
-                reg: flip.reg,
-                bit: flip.bit,
-            },
-        }
-    }
 }
 
 /// What an injected fault actually did — the model-aware payload of an

@@ -126,6 +126,21 @@ impl<H: RuntimeHooks + ?Sized> RuntimeHooks for &mut H {
     }
 }
 
+/// `None` behaves exactly like [`NoopHooks`], so one hooks type serves
+/// a scheme with a prediction runtime (`Some`) and one without (`None`).
+impl<H: RuntimeHooks> RuntimeHooks for Option<H> {
+    fn intrinsic(&mut self, intr: Intrinsic, args: &[Value]) -> IntrinsicAction {
+        match self {
+            Some(h) => h.intrinsic(intr, args),
+            None => NoopHooks.intrinsic(intr, args),
+        }
+    }
+
+    fn flip_runtime_state(&mut self, seed: u64) -> Option<String> {
+        self.as_mut().and_then(|h| h.flip_runtime_state(seed))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,5 +158,18 @@ mod tests {
     fn noop_detect_traps() {
         let mut h = NoopHooks;
         assert!(h.intrinsic(Intrinsic::Detect, &[]).trap_detected);
+    }
+
+    #[test]
+    fn absent_hooks_act_like_noop_hooks() {
+        let mut none: Option<NoopHooks> = None;
+        for intr in Intrinsic::ALL {
+            let args = [Value::I(0), Value::I(1)];
+            assert_eq!(
+                none.intrinsic(intr, &args),
+                NoopHooks.intrinsic(intr, &args)
+            );
+        }
+        assert_eq!(none.flip_runtime_state(7), None);
     }
 }

@@ -20,8 +20,7 @@
 //!   al.) at a uniformly random dynamic instant *inside the detected
 //!   loop regions* (paper §7.2).
 //! * [`enumerate_faults`] — exhaustive fault enumeration over
-//!   micro-regions per fault model ([`enumerate_flips`] is the
-//!   single-bit form): the dynamic cross-check of `rskip-lint`'s static
+//!   micro-regions per fault model: the dynamic cross-check of `rskip-lint`'s static
 //!   protection-coverage claims (every claimed-covered fault must be
 //!   masked or detected; unprotected windows must be witnessed by SDC).
 //! * [`OutcomeClass`] — the five outcome classes of §7.2 (Correct / SDC /
@@ -48,11 +47,10 @@ mod threaded;
 pub use counters::Counters;
 pub use decoded::{decode_cache_stats, DecodeCacheStats, Decoded};
 pub use enumerate::{
-    enumerate_faults, enumerate_faults_pruned, enumerate_flips, EnumError, Enumeration, Probe,
-    TraceEntry,
+    enumerate_faults, enumerate_faults_pruned, EnumError, Enumeration, Probe, TraceEntry,
 };
 pub use fault::{
-    classify_outcome, ExactFault, ExactFaultKind, ExactFlip, FaultEffect, FaultModel,
+    classify_outcome, skip_holds_fire, ExactFault, ExactFaultKind, FaultEffect, FaultModel,
     InjectionPlan, InjectionRecord, OutcomeClass,
 };
 pub use hooks::{IntrinsicAction, NoopHooks, RuntimeHooks};

@@ -13,8 +13,8 @@ use crate::counters::Counters;
 use crate::decoded::{DInst, DStep, DTerm, Decoded};
 use crate::enumerate::TraceEntry;
 use crate::fault::{
-    inject_exact, inject_random, record, skip_holds_fire, ArmedFault, ExactFault, ExactFlip,
-    FaultEffect, FaultFrames, InjectionPlan, InjectionRecord,
+    inject_exact, inject_random, record, skip_holds_fire, ArmedFault, ExactFault, FaultEffect,
+    FaultFrames, InjectionPlan, InjectionRecord,
 };
 use crate::hooks::RuntimeHooks;
 use crate::pipeline::{Pipeline, PipelineConfig};
@@ -374,13 +374,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.injection = Some(ArmedFault::Random(plan));
     }
 
-    /// Arms one deterministic single-bit flip for the next run
-    /// (exhaustive-enumeration mode, SEU shorthand for
-    /// [`Machine::set_exact_fault`]).
-    pub fn set_exact_flip(&mut self, flip: ExactFlip) {
-        self.set_exact_fault(flip.into());
-    }
-
     /// Arms one deterministic fault of any model for the next run
     /// (exhaustive-enumeration mode).
     pub fn set_exact_fault(&mut self, fault: ExactFault) {
@@ -581,7 +574,7 @@ fn exec_loop<H: RuntimeHooks>(
     let mut state_injected: Option<String> = None;
     // Instruction boundaries crossed so far. Differs from
     // `counters.retired` because intrinsic actions charge extra modeled
-    // instructions; [`ExactFlip`] and the enumeration census count actual
+    // instructions; [`ExactFault`] and the enumeration census count actual
     // boundaries so they stay in lockstep across runs.
     let mut boundary: u64 = 0;
     // Scratch for intrinsic argument values, reused across calls.
@@ -611,7 +604,7 @@ fn exec_loop<H: RuntimeHooks>(
                 // boundary, like a runtime-state fault with no live
                 // target.
                 _ if armed.is_skip() => {
-                    if !skip_holds_fire(&prog.funcs, point(stack.last().expect("frame"))) {
+                    if !skip_holds_fire(prog.module(), point(stack.last().expect("frame"))) {
                         let (record, trap) =
                             fire_skip(prog, &mut stack, &mut counters, &mut boundary, region_depth);
                         injected = Some(record);

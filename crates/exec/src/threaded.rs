@@ -916,7 +916,7 @@ fn handle_events(ctx: &mut Ctx<'_>) -> Option<Termination> {
                 // at the next one (the reference loop's rule); the
                 // intrinsic itself forces that re-check.
                 _ if armed.is_skip() => {
-                    if skip_holds_fire(ctx.dfuncs, point(ctx.tfuncs, &ctx.frame)) {
+                    if skip_holds_fire(ctx.module, point(ctx.tfuncs, &ctx.frame)) {
                         ctx.injection = Some(armed);
                     } else {
                         let (record, trap) = fire_skip(ctx);

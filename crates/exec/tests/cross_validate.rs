@@ -8,7 +8,7 @@
 //!    dynamically would be a false positive.
 
 use rskip_analysis::{lint_module, CoverageKind, ValidationModel};
-use rskip_exec::{enumerate_flips, ExecConfig, NoopHooks, OutcomeClass};
+use rskip_exec::{enumerate_faults, ExecConfig, FaultModel, NoopHooks, OutcomeClass};
 use rskip_ir::{BinOp, CmpOp, Inst, Module, ModuleBuilder, Operand, Reg, Ty, Value, Verifier};
 use rskip_passes::{apply_swift, apply_swift_r};
 
@@ -87,12 +87,13 @@ fn assert_covered_faults_harmless(module: &Module, model: ValidationModel) {
     );
     assert!(report.map.claims() > 0, "coverage map is empty");
 
-    let en = enumerate_flips(
+    let en = enumerate_faults(
         module,
         "main",
         &[],
         &exec_config(),
         || NoopHooks,
+        FaultModel::SingleBitSeu,
         &BITS,
         MAX_BOUNDARIES,
     )
@@ -146,12 +147,13 @@ fn swift_covered_faults_are_masked_or_detected() {
 fn swift_detection_path_is_exercised() {
     let mut m = micro_module();
     apply_swift(&mut m);
-    let en = enumerate_flips(
+    let en = enumerate_faults(
         &m,
         "main",
         &[],
         &exec_config(),
         || NoopHooks,
+        FaultModel::SingleBitSeu,
         &BITS,
         MAX_BOUNDARIES,
     )
@@ -227,12 +229,13 @@ fn dropped_vote_window_is_witnessed_by_sdc() {
             .collect::<String>()
     );
 
-    let en = enumerate_flips(
+    let en = enumerate_faults(
         &m,
         "main",
         &[],
         &exec_config(),
         || NoopHooks,
+        FaultModel::SingleBitSeu,
         &BITS,
         MAX_BOUNDARIES,
     )

@@ -185,14 +185,6 @@ pub fn run_detection(options: &EvalOptions) -> Vec<SchemeCost> {
     out
 }
 
-/// Runs the width sensitivity sweep on conv1d.
-pub fn run_width(options: &EvalOptions) -> Vec<WidthPoint> {
-    run_width_with(
-        &BenchSetup::prepare(benchmark_by_name("conv1d").expect("registry"), options),
-        options,
-    )
-}
-
 /// Runs the width sensitivity sweep on a prepared conv1d setup.
 fn run_width_with(setup: &BenchSetup, options: &EvalOptions) -> Vec<WidthPoint> {
     let input = setup.test_input();

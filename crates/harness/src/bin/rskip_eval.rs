@@ -20,7 +20,7 @@
 //! rskip-eval vuln   [--size ...] [--runs N] [--bench NAME[,NAME..]] [--fault-model ...] [--json]
 //!                   [--incremental] [--oracle-limit N] [--store DIR]
 //! rskip-eval serve  [--addr HOST:PORT] [--workers N] [--queue N] [--chunk N] [--size ...] [--store DIR]
-//!                   [--state-dir DIR] [--resume]
+//!                   [--state-dir DIR]
 //! rskip-eval submit [--addr HOST:PORT] [--bench NAME] [--scheme unsafe|swift-r|arN|arN-di]
 //!                   [--fault-model seu|skip|burst:N] [--tier ...] [--runs N] [--chunk N]
 //!                   [--tenant NAME] [--stop-half-width F] [--stop-metric sdc|correct]
@@ -85,9 +85,7 @@
 //! `--state-dir DIR` the service is crash-safe: jobs and per-chunk
 //! progress are fsynced to per-tenant journals, completed results are
 //! cached by content key, and a restarted server automatically resumes
-//! unfinished jobs and re-serves finished ones from the cache
-//! (`--resume` documents that intent and just requires `--state-dir`;
-//! recovery always runs when a state directory is given). `submit` is
+//! unfinished jobs and re-serves finished ones from the cache. `submit` is
 //! the matching client: it submits one job, streams its frames
 //! (`--json` for raw wire frames), and exits 0 on completion.
 //! `--retry N` makes it resilient: up to N attempts with capped
@@ -145,7 +143,6 @@ struct Args {
     incremental: bool,
     oracle_limit: u64,
     state_dir: Option<PathBuf>,
-    resume: bool,
     retry: u32,
 }
 
@@ -190,7 +187,6 @@ fn parse_args() -> Result<Args, String> {
         incremental: false,
         oracle_limit: 4096,
         state_dir: None,
-        resume: false,
         retry: 0,
     };
     while let Some(flag) = args.next() {
@@ -277,7 +273,6 @@ fn parse_args() -> Result<Args, String> {
             "--outcomes" => parsed.outcomes = true,
             "--shutdown" => parsed.shutdown = true,
             "--state-dir" => parsed.state_dir = Some(PathBuf::from(value()?)),
-            "--resume" => parsed.resume = true,
             "--retry" => {
                 parsed.retry = value()?.parse().map_err(|e| format!("bad --retry: {e}"))?;
             }
@@ -296,7 +291,7 @@ fn usage() -> String {
      [--addr HOST:PORT] [--workers N] [--queue N] [--chunk N] [--jobs N] [--tenant NAME] \
      [--scheme unsafe|swift-r|arN|arN-di] [--stop-half-width F] [--stop-metric sdc|correct] \
      [--cancel-after N] [--expect-narrowing] [--outcomes] [--shutdown] \
-     [--incremental] [--oracle-limit N] [--state-dir DIR] [--resume] [--retry N]"
+     [--incremental] [--oracle-limit N] [--state-dir DIR] [--retry N]"
         .to_string()
 }
 
@@ -434,10 +429,6 @@ fn main() {
             return;
         }
         "serve" => {
-            if args.resume && args.state_dir.is_none() {
-                eprintln!("rskip-eval serve: --resume requires --state-dir DIR");
-                std::process::exit(2);
-            }
             let store = args.store.clone().map(Store::open);
             let runner = std::sync::Arc::new(rskip_harness::HarnessRunner::new(options, store));
             let config = rskip_serve::ServerConfig {

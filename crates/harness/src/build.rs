@@ -2,10 +2,9 @@
 //! train per acceptable-range models, run measured executions.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
-use rskip_exec::{ExecConfig, Machine, NoopHooks, PipelineConfig, RunOutcome};
+use rskip_exec::{ExecConfig, Machine, PipelineConfig, RunOutcome};
 use rskip_ir::Module;
 use rskip_passes::{protect, Protected, Scheme};
 use rskip_runtime::{
@@ -17,6 +16,8 @@ use rskip_store::{
     StoredSupervisorPolicy,
 };
 use rskip_workloads::{Benchmark, InputSet, SizeProfile};
+
+use crate::experiment::SchemeVariant;
 
 /// One acceptable-range setting (the paper's AR20..AR100).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
@@ -120,9 +121,7 @@ pub struct BenchSetup {
     /// Region metadata for the runtime.
     pub inits: Vec<RegionInit>,
     /// Trained model per AR (training simulation uses the deployment AR).
-    /// `Arc`: campaigns construct one runtime per trial and share the
-    /// model instead of deep-copying memo tables.
-    pub models: BTreeMap<ArSetting, Arc<TrainedModel>>,
+    pub models: BTreeMap<ArSetting, TrainedModel>,
     /// Raw training profiles (fig2 reuses the sampled outputs).
     pub profiles: Vec<RegionProfile>,
     /// Options used to build this setup.
@@ -208,7 +207,7 @@ impl BenchSetup {
         let warn = |what: &str| eprintln!("warning: model store: {name}: {what}");
         let mut kind = LoadKind::Disabled;
         let mut profiles: Option<Vec<RegionProfile>> = None;
-        let mut models: BTreeMap<ArSetting, Arc<TrainedModel>> = BTreeMap::new();
+        let mut models: BTreeMap<ArSetting, TrainedModel> = BTreeMap::new();
         if let Some(store) = store {
             match store.load(&name, key) {
                 LoadOutcome::Miss => kind = LoadKind::Miss,
@@ -224,7 +223,7 @@ impl BenchSetup {
                     for ar in crate::AR_SETTINGS {
                         match art.models.get(&ar.label()).map(TrainedModel::try_from) {
                             Some(Ok(m)) => {
-                                models.insert(ar, Arc::new(m));
+                                models.insert(ar, m);
                             }
                             Some(Err(e)) => {
                                 kind = LoadKind::Damaged;
@@ -243,7 +242,7 @@ impl BenchSetup {
                     for ar in crate::AR_SETTINGS {
                         if let Some(stored) = part.models.get(&ar.label()) {
                             if let Ok(m) = TrainedModel::try_from(stored) {
-                                models.insert(ar, Arc::new(m));
+                                models.insert(ar, m);
                             }
                         }
                     }
@@ -295,10 +294,7 @@ impl BenchSetup {
                 acceptable_range: ar.fraction(),
                 ..TrainingConfig::default()
             };
-            models.insert(
-                ar,
-                Arc::new(train_from_profiles(&profiles, &memoizable, &config)),
-            );
+            models.insert(ar, train_from_profiles(&profiles, &memoizable, &config));
             trained_ars += 1;
         }
         let prep_nanos = work_started.elapsed().as_nanos() as u64;
@@ -327,7 +323,7 @@ impl BenchSetup {
                     profiles: export_profiles(&profiles),
                     models: models
                         .iter()
-                        .map(|(ar, m)| (ar.label(), StoredModels::from(m.as_ref())))
+                        .map(|(ar, m)| (ar.label(), StoredModels::from(m)))
                         .collect(),
                     supervisor: rskip
                         .plan()
@@ -369,7 +365,7 @@ impl BenchSetup {
     /// A trained prediction runtime for the given AR.
     pub fn runtime(&self, ar: ArSetting) -> PredictionRuntime {
         let config = RuntimeConfig::with_ar(ar.fraction());
-        PredictionRuntime::with_model_arc(&self.inits, config, Arc::clone(&self.models[&ar]))
+        PredictionRuntime::with_model(&self.inits, config, &self.models[&ar])
     }
 
     /// A trained runtime with memoization disabled (Fig. 8a's DI-only
@@ -379,35 +375,58 @@ impl BenchSetup {
             enable_memo: false,
             ..RuntimeConfig::with_ar(ar.fraction())
         };
-        PredictionRuntime::with_model_arc(&self.inits, config, Arc::clone(&self.models[&ar]))
+        PredictionRuntime::with_model(&self.inits, config, &self.models[&ar])
+    }
+
+    /// The build `variant` runs.
+    pub fn module(&self, variant: SchemeVariant) -> &Module {
+        match variant {
+            SchemeVariant::Unsafe => &self.unsafe_build.module,
+            SchemeVariant::SwiftR => &self.swift_r.module,
+            SchemeVariant::RSkip(_) | SchemeVariant::RSkipDiOnly(_) => &self.rskip.module,
+        }
+    }
+
+    /// Fresh hooks for one run of `variant`: its trained prediction
+    /// runtime, or `None` (which acts as [`rskip_exec::NoopHooks`]) for
+    /// the schemes without one.
+    pub fn hooks(&self, variant: SchemeVariant) -> Option<PredictionRuntime> {
+        match variant {
+            SchemeVariant::Unsafe | SchemeVariant::SwiftR => None,
+            SchemeVariant::RSkip(ar) => Some(self.runtime(ar)),
+            SchemeVariant::RSkipDiOnly(ar) => Some(self.runtime_di_only(ar)),
+        }
+    }
+
+    /// Faults the runtime of [`hooks`](Self::hooks) recovered in one run.
+    /// Zero without a runtime: SWIFT-R votes in line, so its recoveries
+    /// are not observable separately, and UNSAFE has no protection.
+    pub fn recoveries(hooks: &Option<PredictionRuntime>) -> u64 {
+        hooks
+            .as_ref()
+            .map_or(0, PredictionRuntime::total_faults_recovered)
+    }
+
+    /// Timed run of `variant`'s build with its hooks; returns the outcome
+    /// and the measured skip rate (0 without a prediction runtime).
+    pub fn run_timed(&self, variant: SchemeVariant, input: &InputSet) -> (RunOutcome, f64) {
+        self.timed(self.module(variant), self.hooks(variant), input)
     }
 
     /// Timed run of a module with no prediction runtime.
     pub fn run_timed_plain(&self, module: &Module, input: &InputSet) -> RunOutcome {
-        let mut machine = Machine::with_config(
-            module,
-            NoopHooks,
-            ExecConfig {
-                timing: Some(self.options.pipeline),
-                ..ExecConfig::default()
-            },
-        );
-        input.apply(&mut machine);
-        let out = machine.run("main", &[]);
-        assert!(out.returned(), "timed run trapped: {:?}", out.termination);
-        out
+        self.timed(module, None, input).0
     }
 
-    /// Timed run of the RSkip build with a trained runtime; returns the
-    /// outcome and the measured skip rate.
-    pub fn run_timed_rskip(
+    fn timed(
         &self,
-        runtime: PredictionRuntime,
+        module: &Module,
+        hooks: Option<PredictionRuntime>,
         input: &InputSet,
     ) -> (RunOutcome, f64) {
         let mut machine = Machine::with_config(
-            &self.rskip.module,
-            runtime,
+            module,
+            hooks,
             ExecConfig {
                 timing: Some(self.options.pipeline),
                 ..ExecConfig::default()
@@ -416,7 +435,10 @@ impl BenchSetup {
         input.apply(&mut machine);
         let out = machine.run("main", &[]);
         assert!(out.returned(), "timed run trapped: {:?}", out.termination);
-        let skip = machine.hooks().total_skip_rate();
+        let skip = machine
+            .hooks()
+            .as_ref()
+            .map_or(0.0, PredictionRuntime::total_skip_rate);
         (out, skip)
     }
 }
@@ -439,7 +461,7 @@ mod tests {
         let base = setup.run_timed_plain(&setup.unprotected, &input);
         let sr = setup.run_timed_plain(&setup.swift_r.module, &input);
         assert!(sr.counters.cycles > base.counters.cycles);
-        let (pp, skip) = setup.run_timed_rskip(setup.runtime(ArSetting { percent: 100 }), &input);
+        let (pp, skip) = setup.run_timed(SchemeVariant::RSkip(ArSetting { percent: 100 }), &input);
         assert!(pp.counters.cycles > base.counters.cycles);
         assert!(skip > 0.0);
     }

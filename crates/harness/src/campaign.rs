@@ -214,17 +214,59 @@ impl<'m> Campaign<'m> {
         make_hooks: impl Fn() -> H,
         observe_recoveries: impl Fn(&H) -> u64,
     ) -> TrialOutcome {
+        let plan = self.plan(trial);
+        self.trial(make_hooks, |m| m.set_injection(plan), observe_recoveries)
+    }
+
+    /// Runs one *runtime-state* trial: the trial's [`plan`] trigger and
+    /// seed arm a bit flip against the prediction runtime's own metadata
+    /// ([`Machine::set_runtime_state_flip`]) instead of a program
+    /// register. `fired` reports whether a live metadata bit was struck;
+    /// `recovered` whether `observe_detections` read a positive count
+    /// off the hooks after the run.
+    ///
+    /// [`plan`]: Campaign::plan
+    pub(crate) fn run_state_trial<H: RuntimeHooks>(
+        &self,
+        trial: u32,
+        make_hooks: impl Fn() -> H,
+        observe_detections: impl Fn(&H) -> u64,
+    ) -> TrialOutcome {
+        let plan = self.plan(trial);
+        self.trial(
+            make_hooks,
+            |m| m.set_runtime_state_flip(plan.trigger, plan.seed),
+            observe_detections,
+        )
+    }
+
+    /// Runs one trial with `fault` armed exactly — one probe of the
+    /// exhaustive enumeration's measure.
+    pub(crate) fn run_exact_trial<H: RuntimeHooks>(
+        &self,
+        fault: ExactFault,
+        make_hooks: impl Fn() -> H,
+        observe_recoveries: impl Fn(&H) -> u64,
+    ) -> TrialOutcome {
+        self.trial(make_hooks, |m| m.set_exact_fault(fault), observe_recoveries)
+    }
+
+    /// The one trial path: a machine over the shared decode with fresh
+    /// hooks and the campaign's input, `arm`ed, run and classified.
+    fn trial<'s, H: RuntimeHooks>(
+        &'s self,
+        make_hooks: impl Fn() -> H,
+        arm: impl FnOnce(&mut Machine<'s, H>),
+        observe: impl Fn(&H) -> u64,
+    ) -> TrialOutcome {
         let mut machine = Machine::from_decoded(&self.decoded, make_hooks(), self.config.clone());
         self.input.apply(&mut machine);
-        machine.set_injection(self.plan(trial));
+        arm(&mut machine);
         let out = machine.run("main", &[]);
-        let recovered = observe_recoveries(machine.hooks()) > 0;
-        let fired = out.injection.is_some() || out.state_injection.is_some();
-        let class = classify_outcome(&out, machine.read_global(self.output), self.golden);
         TrialOutcome {
-            class,
-            recovered,
-            fired,
+            class: classify_outcome(&out, machine.read_global(self.output), self.golden),
+            recovered: observe(machine.hooks()) > 0,
+            fired: out.injection.is_some() || out.state_injection.is_some(),
             pruned: false,
         }
     }
@@ -285,19 +327,11 @@ impl<'m> Campaign<'m> {
                 pruned: true,
             };
         }
-        let mut machine = Machine::from_decoded(&self.decoded, make_hooks(), self.config.clone());
-        self.input.apply(&mut machine);
-        machine.set_exact_fault(ExactFault { at: site.at, kind });
-        let out = machine.run("main", &[]);
-        let recovered = observe_recoveries(machine.hooks()) > 0;
-        let fired = out.injection.is_some() || out.state_injection.is_some();
-        let class = classify_outcome(&out, machine.read_global(self.output), self.golden);
-        TrialOutcome {
-            class,
-            recovered,
-            fired,
-            pruned: false,
-        }
+        self.run_exact_trial(
+            ExactFault { at: site.at, kind },
+            make_hooks,
+            observe_recoveries,
+        )
     }
 
     /// Runs `trials` site-universe trials on `threads` workers and folds
@@ -314,7 +348,7 @@ impl<'m> Campaign<'m> {
         make_hooks: impl Fn() -> H + Sync,
         observe_recoveries: impl Fn(&H) -> u64 + Sync,
     ) -> CampaignStats {
-        let outcomes = parallel_map_indexed(trials as usize, threads, |i| {
+        fold(parallel_map_indexed(trials as usize, threads, |i| {
             self.run_site_trial(
                 seed0,
                 i as u32,
@@ -323,12 +357,7 @@ impl<'m> Campaign<'m> {
                 &make_hooks,
                 &observe_recoveries,
             )
-        });
-        let mut stats = CampaignStats::default();
-        for t in outcomes {
-            stats.record(t);
-        }
-        stats
+        }))
     }
 
     /// Runs the whole campaign on [`num_threads`] workers.
@@ -368,11 +397,7 @@ impl<'m> Campaign<'m> {
         make_hooks: impl Fn() -> H + Sync,
         observe_recoveries: impl Fn(&H) -> u64 + Sync,
     ) -> CampaignStats {
-        let mut stats = CampaignStats::default();
-        for t in self.trial_outcomes_on(threads, range, make_hooks, observe_recoveries) {
-            stats.record(t);
-        }
-        stats
+        fold(self.trial_outcomes_on(threads, range, make_hooks, observe_recoveries))
     }
 
     /// The per-trial outcomes of one contiguous chunk, in trial order
@@ -395,6 +420,15 @@ impl<'m> Campaign<'m> {
             self.run_trial(start + i as u32, &make_hooks, &observe_recoveries)
         })
     }
+}
+
+/// Folds trial outcomes, in order, into one aggregate.
+fn fold(outcomes: Vec<TrialOutcome>) -> CampaignStats {
+    let mut stats = CampaignStats::default();
+    for t in outcomes {
+        stats.record(t);
+    }
+    stats
 }
 
 /// One concrete fault site of a census-derived universe: a dynamic

@@ -9,7 +9,6 @@ use serde::Serialize;
 
 use rskip_exec::{run_simple, Termination};
 use rskip_runtime::costs;
-use rskip_workloads::SizeProfile;
 
 use crate::build::EvalOptions;
 use crate::report::TextTable;
@@ -111,9 +110,4 @@ impl CostRatio {
         ]);
         t.render()
     }
-}
-
-/// Convenience: run at the default size.
-pub fn run_default() -> CostRatio {
-    run(&EvalOptions::at_size(SizeProfile::Small))
 }

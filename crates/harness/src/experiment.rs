@@ -10,8 +10,8 @@
 //! * [`Sweep`] — a declarative experiment grid: benchmarks ×
 //!   [`SchemeVariant`]s, run either as timed single executions
 //!   ([`Sweep::timed`]) or as fault-injection campaigns
-//!   ([`Sweep::campaigns`]). The figures are thin projections of sweep
-//!   results into their historical shapes, so rendered output is
+//!   ([`Sweep::model_campaigns`]). The figures are thin projections of
+//!   sweep results into their historical shapes, so rendered output is
 //!   unchanged.
 //!
 //! Determinism: a sweep's numbers depend only on the options and the
@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
 
-use rskip_exec::{FaultModel, NoopHooks, RunOutcome};
+use rskip_exec::{FaultModel, RunOutcome};
 use rskip_store::Store;
 
 use crate::build::{ArSetting, BenchSetup, EvalOptions, StoreOutcome};
@@ -293,15 +293,7 @@ pub fn timed_cell(
     input: &rskip_workloads::InputSet,
     base: &RunOutcome,
 ) -> SchemeMetrics {
-    let (out, skip) = match variant {
-        SchemeVariant::Unsafe => (
-            setup.run_timed_plain(&setup.unsafe_build.module, input),
-            0.0,
-        ),
-        SchemeVariant::SwiftR => (setup.run_timed_plain(&setup.swift_r.module, input), 0.0),
-        SchemeVariant::RSkip(ar) => setup.run_timed_rskip(setup.runtime(ar), input),
-        SchemeVariant::RSkipDiOnly(ar) => setup.run_timed_rskip(setup.runtime_di_only(ar), input),
-    };
+    let (out, skip) = setup.run_timed(variant, input);
     SchemeMetrics {
         norm_time: out.counters.cycles as f64 / base.counters.cycles as f64,
         norm_instr: out.counters.retired as f64 / base.counters.retired as f64,
@@ -317,15 +309,6 @@ pub struct TimedRow {
     pub bench: String,
     /// One cell per sweep scheme, in sweep order.
     pub cells: Vec<(SchemeVariant, SchemeMetrics)>,
-}
-
-/// One benchmark's campaign results across a sweep's schemes.
-#[derive(Clone, Debug, Serialize)]
-pub struct CampaignRow {
-    /// Benchmark name.
-    pub bench: String,
-    /// One cell per sweep scheme, in sweep order.
-    pub cells: Vec<(SchemeVariant, CampaignStats)>,
 }
 
 /// One benchmark's campaign results across a schemes × fault-models grid.
@@ -377,32 +360,12 @@ impl Sweep {
         })
     }
 
-    /// Runs each (benchmark, scheme) cell as a `runs`-trial
-    /// fault-injection campaign. Seeds are derived per (benchmark,
-    /// scheme, runs), so results are independent of scheduling and of
-    /// which other cells the sweep contains.
-    pub fn campaigns(&self, engine: &Engine, runs: u32) -> Vec<CampaignRow> {
-        engine.over(&self.benches, |setup| {
-            let input = setup.test_input();
-            let golden = setup.bench.golden(setup.options.size, &input);
-            let name = setup.bench.meta().name;
-            let cells = self
-                .schemes
-                .iter()
-                .map(|&v| (v, run_campaign_cell(setup, v, &input, &golden, runs)))
-                .collect();
-            CampaignRow {
-                bench: name.to_string(),
-                cells,
-            }
-        })
-    }
-
     /// Runs each (benchmark, scheme, fault model) cell as a `runs`-trial
-    /// campaign. Seeds fold in the model's tag, so cells that differ only
-    /// in fault model share trigger instants but draw model-appropriate
-    /// effects — and the SEU column is byte-identical to
-    /// [`Sweep::campaigns`].
+    /// fault-injection campaign (Fig. 9 is the `[SingleBitSeu]` grid).
+    /// Seeds are derived per (benchmark, scheme, model, runs), so results
+    /// are independent of scheduling and of which other cells the sweep
+    /// contains; cells that differ only in fault model share trigger
+    /// instants but draw model-appropriate effects.
     pub fn model_campaigns(
         &self,
         engine: &Engine,
@@ -459,31 +422,11 @@ pub fn campaign_seed(bench: &str, variant: SchemeVariant, model: FaultModel, run
     0x51_F0 ^ (u64::from(runs)) << 32 ^ scheme_seed(variant) ^ name_seed(bench) ^ model.seed_tag()
 }
 
-/// Runs one (benchmark, scheme) fault-injection campaign cell with the
-/// cell's deterministic seed, under the paper's single-bit SEU model.
-pub fn run_campaign_cell(
-    setup: &BenchSetup,
-    variant: SchemeVariant,
-    input: &rskip_workloads::InputSet,
-    golden: &[rskip_ir::Value],
-    runs: u32,
-) -> CampaignStats {
-    run_campaign_cell_model(
-        setup,
-        variant,
-        FaultModel::SingleBitSeu,
-        input,
-        golden,
-        runs,
-    )
-}
-
-/// Runs one (benchmark, scheme, fault model) campaign cell.
-///
-/// The seed folds in [`FaultModel::seed_tag`], which is zero for the SEU
-/// model — so SEU cells are bit-identical to the historical
-/// [`run_campaign_cell`] results, while skip/burst cells get their own
-/// deterministic streams that do not depend on which other models ran.
+/// Runs one (benchmark, scheme, fault model) campaign cell with the
+/// cell's deterministic seed ([`campaign_seed`]). The seed folds in
+/// [`FaultModel::seed_tag`], which is zero for the SEU model, so SEU
+/// cells keep the seeds Fig. 9 has always used while skip/burst cells
+/// get their own streams.
 pub fn run_campaign_cell_model(
     setup: &BenchSetup,
     variant: SchemeVariant,
@@ -492,51 +435,18 @@ pub fn run_campaign_cell_model(
     golden: &[rskip_ir::Value],
     runs: u32,
 ) -> CampaignStats {
-    let output = setup.bench.output_global();
-    let seed0 = campaign_seed(setup.bench.meta().name, variant, model, runs);
-
-    match variant {
-        SchemeVariant::RSkip(ar) => {
-            let make = || setup.runtime(ar);
-            let mut campaign = Campaign::new(
-                &setup.rskip.module,
-                input,
-                golden,
-                output,
-                make,
-                seed0,
-                runs,
-            );
-            campaign.set_fault_model(model);
-            campaign.run(make, |h| h.total_faults_recovered())
-        }
-        SchemeVariant::RSkipDiOnly(ar) => {
-            let make = || setup.runtime_di_only(ar);
-            let mut campaign = Campaign::new(
-                &setup.rskip.module,
-                input,
-                golden,
-                output,
-                make,
-                seed0,
-                runs,
-            );
-            campaign.set_fault_model(model);
-            campaign.run(make, |h| h.total_faults_recovered())
-        }
-        SchemeVariant::Unsafe | SchemeVariant::SwiftR => {
-            // SWIFT-R recovery is in-line voting; "handled" is not
-            // observable separately, and UNSAFE has no protection.
-            let module = match variant {
-                SchemeVariant::Unsafe => &setup.unsafe_build.module,
-                _ => &setup.swift_r.module,
-            };
-            let mut campaign =
-                Campaign::new(module, input, golden, output, || NoopHooks, seed0, runs);
-            campaign.set_fault_model(model);
-            campaign.run(|| NoopHooks, |_| 0)
-        }
-    }
+    let make = || setup.hooks(variant);
+    let mut campaign = Campaign::new(
+        setup.module(variant),
+        input,
+        golden,
+        setup.bench.output_global(),
+        make,
+        campaign_seed(setup.bench.meta().name, variant, model, runs),
+        runs,
+    );
+    campaign.set_fault_model(model);
+    campaign.run(make, BenchSetup::recoveries)
 }
 
 #[cfg(test)]
@@ -590,18 +500,19 @@ mod tests {
             vec![SchemeVariant::Unsafe, SchemeVariant::SwiftR],
         );
         let narrow = Sweep::new(vec!["conv1d".into()], vec![SchemeVariant::SwiftR]);
-        let wide_rows = wide.campaigns(&engine, 12);
-        let narrow_rows = narrow.campaigns(&engine, 12);
+        let seu = [FaultModel::SingleBitSeu];
+        let wide_rows = wide.model_campaigns(&engine, 12, &seu);
+        let narrow_rows = narrow.model_campaigns(&engine, 12, &seu);
         // The SWIFT-R cell is identical whether or not UNSAFE ran too.
-        assert_eq!(wide_rows[0].cells[1].1, narrow_rows[0].cells[0].1);
-        assert_eq!(wide_rows[0].cells[1].1.counts.total(), 12);
+        assert_eq!(wide_rows[0].cells[1].2, narrow_rows[0].cells[0].2);
+        assert_eq!(wide_rows[0].cells[1].2.counts.total(), 12);
     }
 
     #[test]
     fn model_grid_seu_column_matches_legacy_campaigns() {
         let engine = tiny_engine();
         let sweep = Sweep::new(vec!["conv1d".into()], vec![SchemeVariant::SwiftR]);
-        let legacy = sweep.campaigns(&engine, 10);
+        let seu_only = sweep.model_campaigns(&engine, 10, &[FaultModel::SingleBitSeu]);
         let grid = sweep.model_campaigns(
             &engine,
             10,
@@ -616,8 +527,8 @@ mod tests {
         let (v, m, ref seu) = row.cells[0];
         assert_eq!(v, SchemeVariant::SwiftR);
         assert_eq!(m, FaultModel::SingleBitSeu);
-        // seed_tag(SEU) == 0: the SEU column reproduces the legacy cell.
-        assert_eq!(*seu, legacy[0].cells[0].1);
+        // The SEU column does not depend on which other models ran.
+        assert_eq!(*seu, seu_only[0].cells[0].2);
         for (_, _, stats) in &row.cells {
             assert_eq!(stats.counts.total(), 10);
         }

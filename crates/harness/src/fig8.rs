@@ -131,8 +131,8 @@ pub fn run_8b_with(engine: &Engine, n_inputs: u32) -> Fig8b {
         let input = setup.bench.gen_input(options.size, 2000 + u64::from(k));
         let base = setup.run_timed_plain(&setup.unprotected, &input);
         let base_time = base.counters.cycles as f64;
-        let sr = setup.run_timed_plain(&setup.swift_r.module, &input);
-        let (pp, skip) = setup.run_timed_rskip(setup.runtime(ar20), &input);
+        let (sr, _) = setup.run_timed(SchemeVariant::SwiftR, &input);
+        let (pp, skip) = setup.run_timed(SchemeVariant::RSkip(ar20), &input);
         Fig8bPoint {
             input_id: k + 1,
             swift_r_time: sr.counters.cycles as f64 / base_time,

@@ -10,10 +10,11 @@
 
 use serde::Serialize;
 
-use crate::build::BenchSetup;
+use rskip_exec::FaultModel;
+
 use crate::campaign::CampaignStats;
 pub use crate::campaign::ClassCounts;
-use crate::experiment::{CampaignRow, Engine, SchemeVariant, Sweep};
+use crate::experiment::{all_bench_names, Engine, SchemeVariant, Sweep};
 use crate::report::{percent, TextTable};
 use crate::AR_SETTINGS;
 
@@ -120,44 +121,27 @@ fn cell_from(variant: SchemeVariant, stats: CampaignStats) -> Fig9Cell {
     }
 }
 
-fn from_campaign_row(row: CampaignRow) -> Fig9Row {
-    Fig9Row {
-        bench: row.bench,
-        cells: row
-            .cells
-            .into_iter()
-            .map(|(v, s)| cell_from(v, s))
-            .collect(),
-    }
-}
-
-/// Runs the campaign for one prepared benchmark.
-pub fn run_bench(setup: &BenchSetup, runs: u32) -> Fig9Row {
-    let input = setup.test_input();
-    let golden = setup.bench.golden(setup.options.size, &input);
-    Fig9Row {
-        bench: setup.bench.meta().name.to_string(),
-        cells: schemes()
-            .into_iter()
-            .map(|v| {
-                cell_from(
-                    v,
-                    crate::experiment::run_campaign_cell(setup, v, &input, &golden, runs),
-                )
-            })
-            .collect(),
-    }
-}
-
-/// Runs the campaign through a shared [`Engine`] (each benchmark is
-/// prepared at most once per engine).
-pub fn run_with(engine: &Engine, runs: u32) -> Fig9 {
-    let rows = Sweep::all_benches(schemes())
-        .campaigns(engine, runs)
+/// Runs the campaign over `benches` through a shared [`Engine`] (each
+/// benchmark is prepared at most once per engine).
+pub fn run_on(engine: &Engine, benches: Vec<String>, runs: u32) -> Fig9 {
+    let rows = Sweep::new(benches, schemes())
+        .model_campaigns(engine, runs, &[FaultModel::SingleBitSeu])
         .into_iter()
-        .map(from_campaign_row)
+        .map(|row| Fig9Row {
+            bench: row.bench,
+            cells: row
+                .cells
+                .into_iter()
+                .map(|(v, _, s)| cell_from(v, s))
+                .collect(),
+        })
         .collect();
     Fig9 { rows, runs }
+}
+
+/// Runs the campaign over every registered benchmark.
+pub fn run_with(engine: &Engine, runs: u32) -> Fig9 {
+    run_on(engine, all_bench_names(), runs)
 }
 
 impl Fig9 {

@@ -30,8 +30,8 @@ use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
 
-use rskip_exec::{ExecTier, FaultModel, NoopHooks, RuntimeHooks};
-use rskip_ir::{Module, Value};
+use rskip_exec::{ExecTier, FaultModel};
+use rskip_ir::Value;
 use rskip_serve::{CampaignRunner, ChunkOutput, ErrorKind, JobSpec};
 use rskip_store::Store;
 use rskip_workloads::InputSet;
@@ -127,59 +127,6 @@ impl BenchData {
     }
 }
 
-/// Runs one chunk of one cell with scheme-specific hooks, reusing (or
-/// measuring and caching) the scheme's sizing.
-#[allow(clippy::too_many_arguments)]
-fn chunk_with<H: RuntimeHooks>(
-    data: &BenchData,
-    module: &Module,
-    make_hooks: impl Fn() -> H + Sync,
-    observe_recoveries: impl Fn(&H) -> u64 + Sync,
-    spec: &JobSpec,
-    model: FaultModel,
-    tier: Option<ExecTier>,
-    seed0: u64,
-    range: Range<u32>,
-) -> ChunkOutput {
-    let output = data.setup.bench.output_global();
-    let sizing = data.sizing_for(&spec.scheme.to_ascii_lowercase(), || {
-        Campaign::new(
-            module,
-            &data.input,
-            &data.golden,
-            output,
-            &make_hooks,
-            seed0,
-            spec.trials,
-        )
-        .sizing()
-    });
-    let mut campaign = Campaign::with_sizing(
-        module,
-        &data.input,
-        &data.golden,
-        output,
-        seed0,
-        spec.trials,
-        sizing,
-    );
-    campaign.set_fault_model(model);
-    if let Some(tier) = tier {
-        campaign.set_tier(tier);
-    }
-    let trials = campaign.trial_outcomes_on(num_threads(), range, make_hooks, observe_recoveries);
-    let mut stats = CampaignStats::default();
-    let mut codes = String::with_capacity(trials.len());
-    for t in &trials {
-        stats.record(*t);
-        codes.push(t.class.code());
-    }
-    ChunkOutput {
-        stats,
-        outcomes: spec.want_outcomes.then_some(codes),
-    }
-}
-
 impl CampaignRunner for HarnessRunner {
     fn validate(&self, spec: &JobSpec) -> Result<(), (ErrorKind, String)> {
         if rskip_workloads::benchmark_by_name(&spec.bench).is_none() {
@@ -253,51 +200,45 @@ impl CampaignRunner for HarnessRunner {
         };
         let seed0 = campaign_seed(&spec.bench, variant, model, spec.trials);
         let setup = &data.setup;
-        match variant {
-            SchemeVariant::RSkip(ar) => chunk_with(
-                &data,
-                &setup.rskip.module,
-                || setup.runtime(ar),
-                |h| h.total_faults_recovered(),
-                spec,
-                model,
-                tier,
+        let module = setup.module(variant);
+        let make_hooks = || setup.hooks(variant);
+        let output = setup.bench.output_global();
+        let sizing = data.sizing_for(&spec.scheme.to_ascii_lowercase(), || {
+            Campaign::new(
+                module,
+                &data.input,
+                &data.golden,
+                output,
+                make_hooks,
                 seed0,
-                range,
-            ),
-            SchemeVariant::RSkipDiOnly(ar) => chunk_with(
-                &data,
-                &setup.rskip.module,
-                || setup.runtime_di_only(ar),
-                |h| h.total_faults_recovered(),
-                spec,
-                model,
-                tier,
-                seed0,
-                range,
-            ),
-            SchemeVariant::Unsafe => chunk_with(
-                &data,
-                &setup.unsafe_build.module,
-                || NoopHooks,
-                |_| 0,
-                spec,
-                model,
-                tier,
-                seed0,
-                range,
-            ),
-            SchemeVariant::SwiftR => chunk_with(
-                &data,
-                &setup.swift_r.module,
-                || NoopHooks,
-                |_| 0,
-                spec,
-                model,
-                tier,
-                seed0,
-                range,
-            ),
+                spec.trials,
+            )
+            .sizing()
+        });
+        let mut campaign = Campaign::with_sizing(
+            module,
+            &data.input,
+            &data.golden,
+            output,
+            seed0,
+            spec.trials,
+            sizing,
+        );
+        campaign.set_fault_model(model);
+        if let Some(tier) = tier {
+            campaign.set_tier(tier);
+        }
+        let trials =
+            campaign.trial_outcomes_on(num_threads(), range, make_hooks, BenchSetup::recoveries);
+        let mut stats = CampaignStats::default();
+        let mut codes = String::with_capacity(trials.len());
+        for t in &trials {
+            stats.record(*t);
+            codes.push(t.class.code());
+        }
+        ChunkOutput {
+            stats,
+            outcomes: spec.want_outcomes.then_some(codes),
         }
     }
 }

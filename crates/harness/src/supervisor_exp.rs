@@ -27,20 +27,16 @@
 //! [`SupervisorReport::check`] encodes the acceptance criteria; the CLI
 //! exits nonzero if any fail, which is what the CI smoke job asserts.
 
-use std::sync::Arc;
-
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-use rskip_exec::{classify_outcome, Decoded, ExecConfig, Machine, Termination};
+use rskip_exec::{Machine, Termination};
 use rskip_ir::Value;
 use rskip_runtime::{PredictionRuntime, RuntimeConfig, StateFaultTarget, SupervisorPolicy};
 use rskip_workloads::drift::{drift_replay, standard_schedule, stationary_schedule, DriftStep};
 use rskip_workloads::InputSet;
 
 use crate::build::{ArSetting, BenchSetup};
-use crate::campaign::{num_threads, parallel_map_indexed, trial_seed, Campaign, ClassCounts};
+use crate::campaign::{num_threads, parallel_map_indexed, Campaign, ClassCounts};
 use crate::report::{percent, TextTable};
 use crate::Engine;
 
@@ -333,10 +329,9 @@ fn run_replay(setup: &BenchSetup, runs: u32) -> ReplayResult {
         supervisor: Some(policy),
         ..base_config
     };
-    let model = Arc::clone(&setup.models[&AR]);
-    let mut base_rt =
-        PredictionRuntime::with_model_arc(&setup.inits, base_config, Arc::clone(&model));
-    let mut sup_rt = PredictionRuntime::with_model_arc(&setup.inits, sup_config, model);
+    let model = &setup.models[&AR];
+    let mut base_rt = PredictionRuntime::with_model(&setup.inits, base_config, model);
+    let mut sup_rt = PredictionRuntime::with_model(&setup.inits, sup_config, model);
 
     // The SEU protection campaigns strike mid-drift, at the point where
     // the two schemes differ most: by the last step of the first drift
@@ -395,11 +390,8 @@ fn run_replay(setup: &BenchSetup, runs: u32) -> ReplayResult {
         tick,
         ..RuntimeConfig::with_ar(AR.fraction())
     };
-    let mut control_rt = PredictionRuntime::with_model_arc(
-        &setup.inits,
-        sup_config2,
-        Arc::clone(&setup.models[&AR]),
-    );
+    let mut control_rt =
+        PredictionRuntime::with_model(&setup.inits, sup_config2, &setup.models[&AR]);
     replay_segment(setup, &mut control_rt, &control_steps);
 
     // Per-phase aggregation.
@@ -470,46 +462,28 @@ fn run_state_cell(
 ) -> StateCell {
     let input = setup.test_input();
     let golden = setup.bench.golden(setup.options.size, &input);
-    let output = setup.bench.output_global();
     let config = RuntimeConfig {
         harden: hardened,
         ..RuntimeConfig::with_ar(AR.fraction())
     };
-    let mut proto =
-        PredictionRuntime::with_model_arc(&setup.inits, config, Arc::clone(&setup.models[&AR]));
+    let mut proto = PredictionRuntime::with_model(&setup.inits, config, &setup.models[&AR]);
     proto.set_state_fault_target(Some(target));
 
-    let decoded = Decoded::new(&setup.rskip.module);
-    let clean = {
-        let mut machine = Machine::from_decoded(&decoded, proto.clone(), ExecConfig::default());
-        input.apply(&mut machine);
-        machine.run("main", &[]).counters
-    };
-    assert!(clean.region_retired > 0, "clean run never entered a region");
-    let exec_config = ExecConfig {
-        step_limit: clean.retired.saturating_mul(20).max(1_000_000),
-        ..ExecConfig::default()
-    };
-    let budget = clean.region_retired;
-
-    struct Trial {
-        injected: bool,
-        class: rskip_exec::OutcomeClass,
-        detections: u64,
-    }
+    let campaign = Campaign::new(
+        &setup.rskip.module,
+        &input,
+        &golden,
+        setup.bench.output_global(),
+        || proto.clone(),
+        seed0,
+        trials,
+    );
     let outcomes = parallel_map_indexed(trials as usize, num_threads(), |i| {
-        let mut rng = ChaCha8Rng::seed_from_u64(trial_seed(seed0, i as u32));
-        let trigger = rng.gen_range(0..budget);
-        let seed: u64 = rng.gen();
-        let mut machine = Machine::from_decoded(&decoded, proto.clone(), exec_config.clone());
-        input.apply(&mut machine);
-        machine.set_runtime_state_flip(trigger, seed);
-        let out = machine.run("main", &[]);
-        Trial {
-            injected: out.state_injection.is_some(),
-            class: classify_outcome(&out, machine.read_global(output), &golden),
-            detections: machine.hooks().total_metadata_detections(),
-        }
+        campaign.run_state_trial(
+            i as u32,
+            || proto.clone(),
+            PredictionRuntime::total_metadata_detections,
+        )
     });
 
     let mut cell = StateCell {
@@ -522,9 +496,9 @@ fn run_state_cell(
         detections: 0,
     };
     for t in outcomes {
-        cell.injected += u64::from(t.injected);
+        cell.injected += u64::from(t.fired);
         cell.counts.add(t.class);
-        cell.detections += u64::from(t.detections > 0);
+        cell.detections += u64::from(t.recovered);
     }
     cell
 }
@@ -534,27 +508,32 @@ pub fn run_with(engine: &Engine, runs: u32) -> SupervisorReport {
     let conv = engine.setup("conv1d");
     let replay = run_replay(&conv, runs);
 
-    // Memo tables only hold live state in a memoizable region; the other
-    // three classes strike conv1d's interpolation runtime.
     let bs = engine.setup("blackscholes");
-    let mut state_cells = Vec::new();
+    SupervisorReport {
+        replay,
+        state_cells: state_cells(&conv, &bs, runs),
+        runs,
+    }
+}
+
+/// The runtime-state SEU campaign: every [`StateFaultTarget`] class with
+/// hardening off and on. Memo tables only hold live state in a
+/// memoizable region, so that class strikes `bs` (blackscholes); the
+/// other three strike `conv`'s (conv1d's) interpolation runtime.
+fn state_cells(conv: &BenchSetup, bs: &BenchSetup, runs: u32) -> Vec<StateCell> {
+    let mut cells = Vec::new();
     for (i, target) in StateFaultTarget::ALL.into_iter().enumerate() {
-        let setup: &BenchSetup = if target == StateFaultTarget::MemoTable {
-            &bs
+        let setup = if target == StateFaultTarget::MemoTable {
+            bs
         } else {
-            &conv
+            conv
         };
         for hardened in [false, true] {
             let seed0 = 410 + (i as u64) * 2 + u64::from(hardened);
-            state_cells.push(run_state_cell(setup, target, hardened, seed0, runs));
+            cells.push(run_state_cell(setup, target, hardened, seed0, runs));
         }
     }
-
-    SupervisorReport {
-        replay,
-        state_cells,
-        runs,
-    }
+    cells
 }
 
 impl SupervisorReport {
@@ -784,6 +763,50 @@ mod tests {
                 cell.bench,
                 cell.hardened
             );
+        }
+    }
+
+    #[test]
+    fn state_cells_at_tiny_are_pinned() {
+        let engine = Engine::new(EvalOptions::at_size(SizeProfile::Tiny));
+        let cells = state_cells(&engine.setup("conv1d"), &engine.setup("blackscholes"), 40);
+        // (target, hardened, correct, sdc, segfault, detections); every
+        // cell runs 40 trials, strikes live metadata in all of them, and
+        // has no other outcome class.
+        let expected = [
+            ("memo-table", false, 40, 0, 0, 0),
+            ("memo-table", true, 40, 0, 0, 1),
+            ("di-phase", false, 40, 0, 0, 0),
+            ("di-phase", true, 40, 0, 0, 40),
+            ("pending-queue", false, 0, 8, 32, 0),
+            ("pending-queue", true, 40, 0, 0, 40),
+            ("counters", false, 40, 0, 0, 0),
+            ("counters", true, 40, 0, 0, 0),
+        ];
+        assert_eq!(cells.len(), expected.len());
+        for (c, &(target, hardened, correct, sdc, segfault, detections)) in
+            cells.iter().zip(&expected)
+        {
+            let bench = if target == "memo-table" {
+                "blackscholes"
+            } else {
+                "conv1d"
+            };
+            let got = (
+                c.target.as_str(),
+                c.bench.as_str(),
+                c.hardened,
+                c.trials,
+                c.injected,
+            );
+            assert_eq!(got, (target, bench, hardened, 40, 40));
+            let k = &c.counts;
+            assert_eq!(
+                (k.correct, k.sdc, k.segfault, c.detections),
+                (correct, sdc, segfault, detections),
+                "{target} hardened={hardened}"
+            );
+            assert_eq!(k.total(), 40, "{target} hardened={hardened}");
         }
     }
 }

@@ -39,13 +39,14 @@ use rskip_analysis::{
 };
 use rskip_core::digest::Fnv1a64;
 use rskip_exec::{
-    classify_outcome, Decoded, ExactFault, ExactFaultKind, ExecConfig, ExecTier, FaultModel,
-    Machine, NoopHooks, OutcomeClass, RuntimeHooks,
+    classify_outcome, skip_holds_fire, Decoded, ExactFault, ExactFaultKind, ExecConfig, ExecTier,
+    FaultModel, Machine, OutcomeClass, RuntimeHooks,
 };
-use rskip_ir::{BlockId, Inst, Module, Value};
+use rskip_ir::{BlockId, Module, Value};
 use rskip_store::{CacheKey, ProfileCache, ProfileRecord};
 use rskip_workloads::InputSet;
 
+use crate::build::BenchSetup;
 use crate::campaign::{
     num_threads, parallel_map_indexed, Campaign, CampaignStats, FaultSite, SiteTarget,
 };
@@ -342,13 +343,9 @@ pub fn analyze_cell<H: RuntimeHooks>(
                 });
             }
         } else {
-            // An armed skip holds fire over intrinsic boundaries
-            // (mirrors the enumeration oracle's exclusion).
-            let next_is_intrinsic = spec.module.functions[e.func as usize].blocks[e.block as usize]
-                .insts
-                .get(e.ip as usize)
-                .is_some_and(|inst| matches!(inst, Inst::IntrinsicCall { .. }));
-            if !next_is_intrinsic {
+            // An armed skip holds fire over intrinsic boundaries, so
+            // they are no skip sites (the enumeration oracle's measure).
+            if !skip_holds_fire(spec.module, (e.func, e.block, e.ip)) {
                 sites.push(FaultSite {
                     at: at as u64,
                     func: e.func,
@@ -503,19 +500,15 @@ pub fn analyze_cell<H: RuntimeHooks>(
         && total_sites > 0
         && total_sites <= spec.oracle_limit
     {
-        let config = campaign.config().clone();
         let probes = parallel_map_indexed(sites.len(), threads, |i| {
             let site = &sites[i];
             let benign = prune(site, &ExactFaultKind::Skip);
-            let mut machine = Machine::from_decoded(&decoded, make_hooks(), config.clone());
-            spec.input.apply(&mut machine);
-            machine.set_exact_fault(ExactFault {
+            let fault = ExactFault {
                 at: site.at,
                 kind: ExactFaultKind::Skip,
-            });
-            let out = machine.run("main", &[]);
-            let class = classify_outcome(&out, machine.read_global(spec.output), spec.golden);
-            (benign, class)
+            };
+            let probe = campaign.run_exact_trial(fault, &make_hooks, &observe_recoveries);
+            (benign, probe.class)
         });
         let cases = probes.len() as u64;
         let benign_cases = probes.iter().filter(|(b, _)| *b).count() as u64;
@@ -589,16 +582,11 @@ pub fn run_with(
             for &model in models {
                 let seed0 = campaign_seed(bench, variant, model, opts.runs) ^ VULN_SEED_TAG;
                 let scheme = variant.label();
-                let module = match variant {
-                    SchemeVariant::RSkip(_) | SchemeVariant::RSkipDiOnly(_) => &setup.rskip.module,
-                    SchemeVariant::Unsafe => &setup.unsafe_build.module,
-                    SchemeVariant::SwiftR => &setup.swift_r.module,
-                };
                 let spec = CellSpec {
                     bench,
                     scheme: &scheme,
                     model,
-                    module,
+                    module: setup.module(variant),
                     input: &input,
                     golden: &golden,
                     output,
@@ -609,19 +597,7 @@ pub fn run_with(
                     cache: cache.as_ref(),
                     tier: opts.tier,
                 };
-                let cell = match variant {
-                    SchemeVariant::RSkip(ar) => {
-                        analyze_cell(&spec, || setup.runtime(ar), |h| h.total_faults_recovered())
-                    }
-                    SchemeVariant::RSkipDiOnly(ar) => analyze_cell(
-                        &spec,
-                        || setup.runtime_di_only(ar),
-                        |h| h.total_faults_recovered(),
-                    ),
-                    SchemeVariant::Unsafe | SchemeVariant::SwiftR => {
-                        analyze_cell(&spec, || NoopHooks, |_| 0)
-                    }
-                };
+                let cell = analyze_cell(&spec, || setup.hooks(variant), BenchSetup::recoveries);
                 cells.push(cell);
             }
         }

@@ -12,7 +12,7 @@
 //! process-wide, so concurrently running tests in the same binary would
 //! race the deltas.
 
-use rskip_exec::{decode_cache_stats, Decoded};
+use rskip_exec::{decode_cache_stats, Decoded, FaultModel};
 use rskip_harness::{ArSetting, Engine, EvalOptions, SchemeVariant, Sweep};
 use rskip_workloads::SizeProfile;
 
@@ -69,7 +69,7 @@ fn fig7_grid_performs_one_decode_per_build() {
     // Phase 2: campaigns over the same grid (fig9-style cells) are also
     // decode-free, including every per-trial machine.
     let before = decode_cache_stats();
-    let stats = sweep.campaigns(&engine, 8);
+    let stats = sweep.model_campaigns(&engine, 8, &[FaultModel::SingleBitSeu]);
     let after = decode_cache_stats();
     assert_eq!(stats.len(), 1);
     assert_eq!(

@@ -76,9 +76,8 @@ fn fig8b_covers_requested_inputs() {
 
 #[test]
 fn fig9_mini_campaign_orders_schemes() {
-    let opts = tiny_options();
-    let setup = BenchSetup::prepare(rskip_workloads::benchmark_by_name("conv1d").unwrap(), &opts);
-    let row = rskip_harness::fig9::run_bench(&setup, 80);
+    let fig = rskip_harness::fig9::run_on(&Engine::new(tiny_options()), vec!["conv1d".into()], 80);
+    let row = &fig.rows[0];
     let rate = |s: SchemeLabel| {
         row.cells
             .iter()
@@ -111,13 +110,7 @@ fn tradeoff_joins_consistently() {
             &opts,
         ))],
     };
-    let fig9 = rskip_harness::fig9::Fig9 {
-        rows: vec![rskip_harness::fig9::run_bench(
-            &BenchSetup::prepare(rskip_workloads::benchmark_by_name("conv1d").unwrap(), &opts),
-            40,
-        )],
-        runs: 40,
-    };
+    let fig9 = rskip_harness::fig9::run_on(&Engine::new(opts), vec!["conv1d".into()], 40);
     let t = rskip_harness::tradeoff::join(&fig7, &fig9);
     assert_eq!(t.points.len(), 5); // SWIFT-R + 4 ARs
     let ar20 = t.ar_point(ArSetting { percent: 20 }).unwrap();

@@ -117,6 +117,33 @@ fn streamed_job_is_byte_identical_to_cli_driver() {
     server.shutdown();
 }
 
+/// A DI-only scheme (`arN-di`: memoization off) runs its own hooks in the
+/// service; the streamed aggregate must equal the one-shot driver's cell.
+/// blackscholes is memoizable, so there the DI-only runtime really
+/// differs from the full chain.
+#[test]
+fn di_only_job_is_byte_identical_to_cli_driver() {
+    let server = tiny_server(None);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut spec = JobSpec::new("blackscholes", "ar20-di", "seu", 80);
+    spec.chunk = 30;
+    let job = client.submit_accepted(&spec).expect("accept");
+    let outcome = client.stream_job(job, |_| {}).expect("stream");
+    assert_eq!(outcome.done.executed, 80);
+    let reference = cli_reference(
+        "blackscholes",
+        SchemeVariant::RSkipDiOnly(ArSetting { percent: 20 }),
+        FaultModel::SingleBitSeu,
+        80,
+    );
+    assert_eq!(
+        encode(&outcome.done.stats),
+        encode(&reference),
+        "streamed ar20-di/seu aggregate must be byte-identical to the CLI driver"
+    );
+    server.shutdown();
+}
+
 /// `threaded-nofuse` named a removed variant of the threaded tier; wire
 /// jobs that still send it are accepted and run as `threaded`.
 #[test]

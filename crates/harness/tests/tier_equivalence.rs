@@ -12,13 +12,11 @@
 //!    conventional builds;
 //! 2. fault-injection campaign trials, compared trial-by-trial (not just
 //!    in aggregate) with full memory snapshots;
-//! 3. a sampled exhaustive [`enumerate_flips`] sweep, whose probes arm
-//!    the [`ExactFlip`] boundary-exact event-fuel path that ordinary runs
-//!    rarely stress.
+//! 3. a sampled exhaustive single-bit [`enumerate_faults`] sweep, whose
+//!    probes arm the [`ExactFault`](rskip_exec::ExactFault) boundary-exact
+//!    event-fuel path that ordinary runs rarely stress.
 
-use rskip_exec::{
-    enumerate_faults, enumerate_flips, ExecConfig, ExecTier, FaultModel, Machine, NoopHooks,
-};
+use rskip_exec::{enumerate_faults, ExecConfig, ExecTier, FaultModel, Machine, NoopHooks};
 use rskip_harness::throughput::TIERS;
 use rskip_harness::{ArSetting, Campaign, Engine, EvalOptions};
 use rskip_ir::{BinOp, CmpOp, Module, ModuleBuilder, Operand, Ty, Value};
@@ -301,7 +299,7 @@ fn micro_module() -> Module {
 }
 
 /// Sampled exhaustive flip sweep under every tier: every probe's verdict
-/// (and position) must agree exactly. `ExactFlip` probes fire at precise
+/// (and position) must agree exactly. `ExactFault` probes fire at precise
 /// instruction boundaries, which forces the threaded tier's event fuel
 /// to stop exactly there — the trickiest part of the fuel bookkeeping.
 #[test]
@@ -321,8 +319,17 @@ fn exact_flip_enumeration_verdicts_agree_across_tiers() {
                 tier,
                 ..ExecConfig::default()
             };
-            let en = enumerate_flips(module, "main", &[], &config, || NoopHooks, &bits, 4096)
-                .expect("enumeration runs");
+            let en = enumerate_faults(
+                module,
+                "main",
+                &[],
+                &config,
+                || NoopHooks,
+                FaultModel::SingleBitSeu,
+                &bits,
+                4096,
+            )
+            .expect("enumeration runs");
             assert!(!en.probes.is_empty(), "{label}: empty sweep is vacuous");
             match &reference {
                 None => reference = Some(en),

@@ -77,11 +77,6 @@ impl ModuleBuilder {
         self.module.new_region()
     }
 
-    /// Direct access to the module under construction.
-    pub fn module_mut(&mut self) -> &mut Module {
-        &mut self.module
-    }
-
     /// Finishes and returns the module.
     pub fn finish(self) -> Module {
         self.module
@@ -130,11 +125,6 @@ impl<'a> FunctionBuilder<'a> {
     pub fn switch_to(&mut self, block: BlockId) {
         assert!(block.index() < self.func.blocks.len(), "no such block");
         self.cur = block;
-    }
-
-    /// The current block.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
     }
 
     /// The register holding parameter `i`.

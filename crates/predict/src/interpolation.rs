@@ -158,11 +158,6 @@ impl DynamicInterpolation {
         self.config.tp = tp;
     }
 
-    /// Adjusts the acceptable range (the paper's pragma override).
-    pub fn set_ar(&mut self, ar: f64) {
-        self.config.ar = ar;
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> DiStats {
         self.stats

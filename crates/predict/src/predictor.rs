@@ -18,7 +18,7 @@
 //!   [`observe`](Predictor::observe) and buffer elements, resolving them
 //!   in batches (the phase cut) and on [`flush`](Predictor::flush).
 
-use crate::{relative_difference, CutResult, DiConfig, DiStats, DynamicInterpolation, Memoizer};
+use crate::{relative_difference, CutResult, DiConfig, DynamicInterpolation, Memoizer};
 
 /// One observed loop output offered to a predictor.
 #[derive(Clone, Debug, PartialEq)]
@@ -202,11 +202,6 @@ impl DiPredictor {
             di: DynamicInterpolation::new(config),
             seq_map: Vec::new(),
         }
-    }
-
-    /// The phase machine's aggregate counters.
-    pub fn di_stats(&self) -> DiStats {
-        self.di.stats()
     }
 
     fn translate(&self, cut: CutResult) -> Resolution {

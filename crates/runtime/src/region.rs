@@ -90,16 +90,6 @@ impl RegionStats {
             self.total_skipped() as f64 / self.elements as f64
         }
     }
-
-    /// Share of the skip rate contributed by the first-level predictor
-    /// (Fig. 8a's DI-only series).
-    pub fn di_skip_rate(&self) -> f64 {
-        if self.elements == 0 {
-            0.0
-        } else {
-            self.skipped_di() as f64 / self.elements as f64
-        }
-    }
 }
 
 /// One recorded observation awaiting classification or re-computation.
@@ -279,25 +269,9 @@ impl RegionState {
         }
     }
 
-    /// One human-readable report line per chain link.
-    pub fn predictor_reports(&self) -> Vec<String> {
-        self.chain.reports()
-    }
-
     /// Whether the PP version is worth selecting.
     pub fn pp_useful(&self) -> bool {
         self.has_body && self.chain.any_enabled()
-    }
-
-    /// Whether the first-level predictor is still enabled.
-    pub fn di_enabled(&self) -> bool {
-        self.chain.enabled(0)
-    }
-
-    /// Disables the first-level predictor (every element falls through
-    /// to the fallback levels or re-computation). Exposed for ablations.
-    pub fn disable_di(&mut self) {
-        self.chain.set_enabled(0, false);
     }
 
     /// Whether chain link `k` is enabled.
@@ -753,7 +727,7 @@ mod tests {
     #[test]
     fn disabled_di_sends_everything_to_pending() {
         let mut state = RegionState::new(DiConfig { tp: 0.5, ar: 0.2 }, true, 64);
-        state.disable_di();
+        state.set_link_enabled(0, false);
         state.enter();
         for i in 0..50i64 {
             state.observe(i, i, Value::F(i as f64), &[]);

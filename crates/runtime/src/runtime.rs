@@ -1,16 +1,12 @@
 //! The intrinsic handler wiring region state to the execution substrate.
 
-use std::sync::Arc;
-
 use rskip_core::{ProtectionPlan, RegionPlan, SupervisorPolicy};
 use rskip_exec::{IntrinsicAction, RuntimeHooks};
 use rskip_ir::{Intrinsic, Value};
 use rskip_predict::DiConfig;
-use rskip_store::StoredModels;
 
 use crate::costs;
 use crate::region::{RegionState, RegionStats};
-use crate::supervisor::SupervisorState;
 use crate::train::TrainedModel;
 
 /// Which class of live runtime state a state-fault injection targets —
@@ -66,8 +62,6 @@ pub struct RuntimeConfig {
     /// useful for A/B measurements on the same binary, like the paper's
     /// run-time management does when PP has no expected benefit).
     pub enable_pp: bool,
-    /// Enable the first-level predictor.
-    pub enable_di: bool,
     /// Enable the second-level predictor where a memoizer is installed.
     pub enable_memo: bool,
     /// Install a per-region runtime supervisor (online health monitor
@@ -89,7 +83,6 @@ impl Default for RuntimeConfig {
             default_tp: 0.5,
             tick: 256,
             enable_pp: true,
-            enable_di: true,
             enable_memo: true,
             supervisor: None,
             harden: false,
@@ -136,11 +129,6 @@ pub struct PredictionRuntime {
     regions: Vec<RegionState>,
     inits: Vec<RegionInit>,
     config: RuntimeConfig,
-    /// The installed trained model, kept for [`export_models`]
-    /// (`Arc`: campaign harnesses construct one runtime per trial).
-    ///
-    /// [`export_models`]: Self::export_models
-    installed: Option<Arc<TrainedModel>>,
     /// Target class for [`RuntimeHooks::flip_runtime_state`] injections;
     /// `None` lets the seed pick the class.
     state_fault_target: Option<StateFaultTarget>,
@@ -167,9 +155,6 @@ impl PredictionRuntime {
                 init.has_body,
                 config.tick,
             );
-            if !config.enable_di {
-                state.disable_di();
-            }
             if let Some(policy) = config.supervisor {
                 state.set_supervisor(policy);
             }
@@ -183,7 +168,6 @@ impl PredictionRuntime {
             regions: states,
             inits,
             config,
-            installed: None,
             state_fault_target: None,
         }
     }
@@ -202,38 +186,17 @@ impl PredictionRuntime {
         Self::new(&plan.regions, Self::merge_plan_policy(plan, config))
     }
 
-    /// Creates a runtime from a [`ProtectionPlan`] and installs a trained
-    /// model.
-    pub fn from_trained_plan(
-        plan: &ProtectionPlan,
-        config: RuntimeConfig,
-        model: &TrainedModel,
-    ) -> Self {
-        Self::with_model(&plan.regions, Self::merge_plan_policy(plan, config), model)
-    }
-
     /// Creates a runtime and installs a trained model (QoS tables and
-    /// memoizers).
+    /// memoizers). The runtime copies what it needs, so one model serves
+    /// any number of runtimes (a campaign builds one per trial).
     pub fn with_model(regions: &[RegionInit], config: RuntimeConfig, model: &TrainedModel) -> Self {
-        Self::with_model_arc(regions, config, Arc::new(model.clone()))
-    }
-
-    /// Like [`with_model`](Self::with_model) but shares an existing
-    /// `Arc`, so harnesses constructing one runtime per campaign trial
-    /// don't deep-copy the model every time.
-    pub fn with_model_arc(
-        regions: &[RegionInit],
-        config: RuntimeConfig,
-        model: Arc<TrainedModel>,
-    ) -> Self {
         let mut rt = Self::new(regions, config);
         rt.install(model);
         rt
     }
 
-    /// Installs a trained model into the region states and records it for
-    /// [`export_models`](Self::export_models).
-    fn install(&mut self, model: Arc<TrainedModel>) {
+    /// Installs a trained model into the region states.
+    fn install(&mut self, model: &TrainedModel) {
         for (id, rm) in &model.regions {
             let Some(state) = self.regions.get_mut(*id as usize) else {
                 continue;
@@ -252,29 +215,6 @@ impl PredictionRuntime {
                 }
             }
         }
-        self.installed = Some(model);
-    }
-
-    /// Deploys models loaded from the persistent store — the warm-start
-    /// path that replaces profiling and training entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the stored data is structurally
-    /// inconsistent (the store's checksums catch corruption; this catches
-    /// checksum-valid-but-wrong data) — the runtime is left untouched.
-    pub fn warm_start(&mut self, stored: &StoredModels) -> Result<(), String> {
-        let model = TrainedModel::try_from(stored)?;
-        self.install(Arc::new(model));
-        Ok(())
-    }
-
-    /// Exports the installed model in its persistent form, or `None` for
-    /// an untrained runtime.
-    pub fn export_models(&self) -> Option<StoredModels> {
-        self.installed
-            .as_ref()
-            .map(|m| StoredModels::from(m.as_ref()))
     }
 
     /// Counters for one region.
@@ -315,18 +255,6 @@ impl PredictionRuntime {
         self.regions.iter().map(|r| r.metadata_detections()).sum()
     }
 
-    /// Regions whose breaker is currently *not* Predicting (Degraded or
-    /// Probing).
-    pub fn degraded_region_count(&self) -> usize {
-        self.regions
-            .iter()
-            .filter(|r| {
-                r.supervisor()
-                    .is_some_and(|s| s.state() != SupervisorState::Predicting)
-            })
-            .count()
-    }
-
     /// Regions that were demoted at least once over their lifetime.
     pub fn demoted_region_count(&self) -> usize {
         self.regions
@@ -343,11 +271,6 @@ impl PredictionRuntime {
     /// picks the class).
     pub fn set_state_fault_target(&mut self, target: Option<StateFaultTarget>) {
         self.state_fault_target = target;
-    }
-
-    /// Mutable access to one region's state (ablations and tests).
-    pub fn region_mut(&mut self, region: u32) -> &mut RegionState {
-        &mut self.regions[region as usize]
     }
 
     fn region_of(&mut self, args: &[Value]) -> &mut RegionState {

@@ -63,7 +63,7 @@ pub struct StoredRegionModel {
 }
 
 /// All regions' trained models — the payload of one `models/<AR>`
-/// section, and the argument of `PredictionRuntime::warm_start`.
+/// section (`rskip-runtime` converts it to and from a `TrainedModel`).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StoredModels {
     /// Region id → model.
