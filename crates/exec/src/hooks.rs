@@ -3,9 +3,8 @@
 //!
 //! The protocol is deliberately predictor-agnostic: intrinsics speak only
 //! in regions, iterations and pending work, never in terms of a specific
-//! prediction model. A runtime backed by one predictor or by a whole
-//! fallback chain (`rskip-predict`'s `Chain`) implements the same hooks
-//! unchanged.
+//! prediction model: how the runtime cascades its predictors
+//! (`rskip-runtime`'s region state) is invisible at this interface.
 
 use rskip_ir::{Intrinsic, Value};
 

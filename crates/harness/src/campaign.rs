@@ -27,8 +27,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use rskip_exec::{
-    classify_outcome, Decoded, ExactFault, ExactFaultKind, ExecConfig, FaultModel, InjectionPlan,
-    Machine, RuntimeHooks,
+    classify_outcome, Counters, Decoded, ExactFault, ExactFaultKind, ExecConfig, FaultModel,
+    InjectionPlan, Machine, RuntimeHooks,
 };
 use rskip_ir::{Module, Value};
 use rskip_workloads::InputSet;
@@ -98,22 +98,8 @@ impl<'m> Campaign<'m> {
             input.apply(&mut machine);
             machine.run("main", &[]).counters
         };
-        assert!(clean.region_retired > 0, "clean run never entered a region");
-        let config = ExecConfig {
-            step_limit: clean.retired.saturating_mul(20).max(1_000_000),
-            ..ExecConfig::default()
-        };
-        Campaign {
-            decoded,
-            input,
-            golden,
-            output: output_global,
-            config,
-            region_budget: clean.region_retired,
-            seed0,
-            trials,
-            model: FaultModel::SingleBitSeu,
-        }
+        let sizing = CampaignSizing::from_clean(&clean);
+        Self::sized(decoded, input, golden, output_global, seed0, trials, sizing)
     }
 
     /// Rebuilds a campaign from a previously measured [`sizing`] without
@@ -133,11 +119,24 @@ impl<'m> Campaign<'m> {
         trials: u32,
         sizing: CampaignSizing,
     ) -> Self {
+        let decoded = Decoded::new(module);
+        Self::sized(decoded, input, golden, output_global, seed0, trials, sizing)
+    }
+
+    fn sized(
+        decoded: Decoded<'m>,
+        input: &'m InputSet,
+        golden: &'m [Value],
+        output: &'m str,
+        seed0: u64,
+        trials: u32,
+        sizing: CampaignSizing,
+    ) -> Self {
         Campaign {
-            decoded: Decoded::new(module),
+            decoded,
             input,
             golden,
-            output: output_global,
+            output,
             config: ExecConfig {
                 step_limit: sizing.step_limit,
                 ..ExecConfig::default()
@@ -469,6 +468,26 @@ pub struct CampaignSizing {
     pub region_budget: u64,
     /// Step limit classifying hangs.
     pub step_limit: u64,
+}
+
+impl CampaignSizing {
+    /// Sizes a campaign from a clean run's counters: the region
+    /// instructions it retired are the injection window, and twenty
+    /// times its instructions (at least one million) classify a hang.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the clean run never entered a protected region — the
+    /// build has nothing to inject into, which is an experiment-setup
+    /// bug.
+    #[must_use]
+    pub fn from_clean(clean: &Counters) -> Self {
+        assert!(clean.region_retired > 0, "clean run never entered a region");
+        CampaignSizing {
+            region_budget: clean.region_retired,
+            step_limit: clean.retired.saturating_mul(20).max(1_000_000),
+        }
+    }
 }
 
 #[cfg(test)]

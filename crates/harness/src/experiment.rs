@@ -221,7 +221,7 @@ pub enum SchemeVariant {
     Unsafe,
     /// SWIFT-R build.
     SwiftR,
-    /// RSkip with the full predictor chain at the given AR.
+    /// RSkip with the full prediction cascade at the given AR.
     RSkip(ArSetting),
     /// RSkip with only the first-level predictor (Fig. 8a's DI-only
     /// series).

@@ -48,7 +48,8 @@ use rskip_workloads::InputSet;
 
 use crate::build::BenchSetup;
 use crate::campaign::{
-    num_threads, parallel_map_indexed, Campaign, CampaignStats, FaultSite, SiteTarget,
+    num_threads, parallel_map_indexed, Campaign, CampaignSizing, CampaignStats, FaultSite,
+    SiteTarget,
 };
 use crate::experiment::{campaign_seed, Engine, SchemeVariant};
 use crate::report::{percent, TextTable};
@@ -313,10 +314,12 @@ pub fn analyze_cell<H: RuntimeHooks>(
 ) -> VulnCell {
     // Census: one clean traced run enumerates every boundary the
     // enumeration oracle would probe, with the registers live-writable
-    // at each. Tracing always runs on the reference tier.
+    // at each, and sizes the campaign (it retires exactly what a
+    // separate sizing run would). Tracing always runs on the reference
+    // tier.
     let decoded = Decoded::new(spec.module);
     let mut trace = Vec::new();
-    {
+    let sizing = {
         let mut machine = Machine::from_decoded(&decoded, make_hooks(), ExecConfig::default());
         spec.input.apply(&mut machine);
         let out = machine.run_traced("main", &[], &mut trace);
@@ -326,7 +329,8 @@ pub fn analyze_cell<H: RuntimeHooks>(
             OutcomeClass::Correct,
             "clean census run must reproduce the golden output"
         );
-    }
+        CampaignSizing::from_clean(&out.counters)
+    };
 
     // The fault-site universe, in the oracle's measure.
     let reg_model = !matches!(spec.model, FaultModel::InstructionSkip);
@@ -392,16 +396,16 @@ pub fn analyze_cell<H: RuntimeHooks>(
         by_section.entry(sec.id).or_default().push(*s);
     }
 
-    // One campaign harness shared by every section (sizing run + step
-    // limit), trials allocated per section by site share.
-    let mut campaign = Campaign::new(
+    // One campaign harness shared by every section (the census's
+    // sizing), trials allocated per section by site share.
+    let mut campaign = Campaign::with_sizing(
         spec.module,
         spec.input,
         spec.golden,
         spec.output,
-        &make_hooks,
         spec.seed0,
         spec.runs,
+        sizing,
     );
     campaign.set_fault_model(spec.model);
     if let Some(tier) = spec.tier {

@@ -14,24 +14,23 @@
 //!   levels and a bit-tuning pass that distributes address bits across
 //!   inputs by output impact.
 //!
-//! The crate is dependency-light and independent of the IR: the runtime
-//! layer (`rskip-runtime`) adapts these models to the execution substrate.
+//! The crate is dependency-light and independent of the IR. It holds the
+//! models only: which predictors run, in what order, and what happens to
+//! their rejects (the paper's DI → memoization → re-computation cascade)
+//! is decided in one place, the runtime layer's region state
+//! (`rskip-runtime`).
 //!
 //! The [`trend`] module hosts the motivational analyzers behind the paper's
 //! Figure 2 (trend coverage and top-K frequent-value coverage).
 
 #![deny(missing_docs)]
 
-pub mod chain;
 mod interpolation;
 mod memo;
-pub mod predictor;
 pub mod trend;
 
-pub use chain::{Chain, ChainOutcome, LinkStats};
 pub use interpolation::{CutResult, DiConfig, DiStats, DynamicInterpolation};
 pub use memo::{MemoConfig, MemoStats, MemoTrainer, Memoizer, Quantizer};
-pub use predictor::{DiPredictor, Element, LastValue, MemoPredictor, Predictor, Resolution};
 
 /// Relative difference `|a - b| / max(|b|, eps)` — the fuzzy-validation
 /// metric ("relative difference is used to define acceptable range", §2).

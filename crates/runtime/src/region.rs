@@ -1,18 +1,19 @@
 //! Per-region prediction state.
 //!
-//! A region owns one predictor [`Chain`] (dynamic interpolation first,
-//! approximate memoization second when trained, plus any predictors
-//! registered through [`RegionState::push_predictor`]) and the machinery
-//! around it: the observation buffer, the pending re-computation queue,
-//! the modeled cost accounting and the run-time management tick.
+//! A region owns the paper's fixed prediction cascade (§4, Fig. 4):
+//! dynamic interpolation (DI) first, approximate memoization second when
+//! a trained memoizer is installed, exact re-computation last. DI holds
+//! each element until a phase cut (or the region exit) classifies it; the
+//! cut's rejects are offered to the memoizer in DI's order, and the
+//! memoizer's misses join the pending re-computation queue. Around the
+//! cascade sit the runtime supervisor's gate, the modeled cost
+//! accounting and the run-time management tick.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use rskip_core::SupervisorPolicy;
 use rskip_ir::Value;
-use rskip_predict::{
-    Chain, DiConfig, DiPredictor, Element, LinkStats, MemoPredictor, Memoizer, Predictor,
-};
+use rskip_predict::{relative_difference, CutResult, DiConfig, DynamicInterpolation, Memoizer};
 
 use crate::costs;
 use crate::qos::QosTable;
@@ -21,17 +22,19 @@ use crate::signature::{signature, DEFAULT_EDGES};
 use crate::supervisor::{Supervisor, SupervisorStats};
 
 /// Aggregate per-region counters.
-///
-/// Skips are attributed per chain link ([`links`](Self::links)); the
-/// historical `skipped_di` / `skipped_memo` counters survive as accessors
-/// over link 0 and the fallback links.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RegionStats {
     /// Loop outputs observed.
     pub elements: u64,
-    /// Per-predictor attribution, in chain order (link 0 is the
-    /// first-level predictor).
-    pub links: Vec<LinkStats>,
+    /// Elements offered to dynamic interpolation.
+    pub di_attempts: u64,
+    /// Elements dynamic interpolation accepted (re-computation skipped).
+    pub skipped_di: u64,
+    /// Elements offered to the memoizer: DI rejects, plus every fed
+    /// element while DI is disabled.
+    pub memo_attempts: u64,
+    /// Elements the memoizer accepted.
+    pub skipped_memo: u64,
     /// Elements handed to the recheck loop.
     pub recomputed: u64,
     /// Re-computations that matched (mispredictions — run-time overhead,
@@ -49,37 +52,16 @@ pub struct RegionStats {
     /// `probing`), or `off` without a supervisor.
     pub supervisor_state: &'static str,
     /// Hardening self-checks that fired: corrupted runtime metadata
-    /// detected and contained (chain shadow votes plus pending-record
-    /// checksum failures plus counter clamps).
+    /// detected and contained (DI register votes and memo shadow
+    /// cross-checks plus pending-record checksum failures plus counter
+    /// clamps).
     pub metadata_detections: u64,
 }
 
 impl RegionStats {
-    /// Elements accepted by any predictor (re-computation skipped).
+    /// Elements accepted by either predictor (re-computation skipped).
     pub fn total_skipped(&self) -> u64 {
-        self.links.iter().map(|l| l.accepted).sum()
-    }
-
-    /// Elements accepted by the first-level predictor (dynamic
-    /// interpolation in the paper's configuration).
-    pub fn skipped_di(&self) -> u64 {
-        self.links.first().map(|l| l.accepted).unwrap_or(0)
-    }
-
-    /// Elements accepted by the fallback levels (approximate memoization
-    /// in the paper's configuration).
-    pub fn skipped_memo(&self) -> u64 {
-        self.links.iter().skip(1).map(|l| l.accepted).sum()
-    }
-
-    /// Prediction attempts by the fallback levels.
-    pub fn memo_attempts(&self) -> u64 {
-        self.links.iter().skip(1).map(|l| l.attempts).sum()
-    }
-
-    /// Attribution for the link named `name`, if present.
-    pub fn link(&self, name: &str) -> Option<&LinkStats> {
-        self.links.iter().find(|l| l.name == name)
+        self.skipped_di + self.skipped_memo
     }
 
     /// The paper's skip rate: skipped / observed.
@@ -130,19 +112,107 @@ fn obs_checksum(iter: i64, addr: i64, args: &[Value]) -> u64 {
     h
 }
 
+/// A recorded value as the predictors see it.
+fn as_f64(v: Value) -> f64 {
+    match v {
+        Value::F(v) => v,
+        Value::I(v) => v as f64,
+    }
+}
+
+/// One cascade level's enable bit and attribution counters.
+#[derive(Clone, Copy, Debug)]
+struct Level {
+    /// A disabled level receives no new elements (DI still classifies
+    /// the ones it already holds).
+    enabled: bool,
+    /// Elements offered to this level.
+    attempts: u64,
+    /// Elements this level accepted (re-computation skipped).
+    accepted: u64,
+}
+
+impl Level {
+    const ON: Level = Level {
+        enabled: true,
+        attempts: 0,
+        accepted: 0,
+    };
+}
+
+/// The cascade's second level: approximate memoization (§4.2), a
+/// quantized lookup keyed on the recorded inputs.
+#[derive(Clone, Debug)]
+struct MemoLevel {
+    memo: Memoizer,
+    /// Hardening: a shadow copy of the table; lookups are cross-checked
+    /// and a disagreement (one copy corrupted) degrades to a miss.
+    shadow: Option<Memoizer>,
+    /// Cross-checks that found the two copies disagreeing.
+    detections: u64,
+    level: Level,
+    /// Reusable lookup key: the recorded inputs as `f64`.
+    key: Vec<f64>,
+}
+
+impl MemoLevel {
+    fn new(memo: Memoizer, harden: bool) -> Self {
+        let mut m = MemoLevel {
+            memo,
+            shadow: None,
+            detections: 0,
+            level: Level::ON,
+            key: Vec::new(),
+        };
+        m.set_harden(harden);
+        m
+    }
+
+    fn set_harden(&mut self, on: bool) {
+        self.shadow = on.then(|| self.memo.clone());
+    }
+
+    /// The memoized value for `args`. A hardened lookup whose two
+    /// copies disagree is a miss: we cannot tell which copy is
+    /// corrupted, so the element falls through to re-computation.
+    fn lookup(&mut self, args: &[Value]) -> Option<f64> {
+        self.key.clear();
+        self.key.extend(args.iter().map(|&a| as_f64(a)));
+        let primary = self.memo.predict(&self.key);
+        if let Some(shadow) = &self.shadow {
+            let same = match (primary, shadow.predict_quiet(&self.key)) {
+                (Some(a), Some(b)) => a.to_bits() == b.to_bits(),
+                (None, None) => true,
+                _ => false,
+            };
+            if !same {
+                self.detections += 1;
+                return None;
+            }
+        }
+        primary
+    }
+}
+
 /// The runtime state of one protected region.
 #[derive(Clone, Debug)]
 pub struct RegionState {
-    /// The ordered predictor fallback — the only predictor storage.
-    chain: Chain,
-    /// Acceptable range handed to newly installed fallback predictors.
-    ar: f64,
+    /// First level: the dynamic-interpolation phase machine. Its
+    /// acceptable range is the region's, and the memoizer validates
+    /// against the same range.
+    di: DynamicInterpolation,
+    di_level: Level,
+    /// Second level, when a trained memoizer is installed.
+    memo: Option<MemoLevel>,
     /// Whether the transform built a PP version for this region.
     has_body: bool,
-    buffer: BTreeMap<u64, Obs>,
+    /// Observations DI holds, with their values: slot `k` is DI's
+    /// region-relative element number `held_base + k`. A classified
+    /// slot is emptied and leaves once everything before it has.
+    held: VecDeque<Option<(f64, Obs)>>,
+    held_base: u64,
     pending: VecDeque<Obs>,
     current: Option<Obs>,
-    seq: u64,
     qos: QosTable,
     tick_period: u64,
     since_tick: u64,
@@ -152,8 +222,7 @@ pub struct RegionState {
     faults_recovered: u64,
     tp_adjustments: u64,
     entries: u64,
-    /// Observation threshold after which poor first-level performance
-    /// disables it.
+    /// Observation threshold after which poor DI accuracy disables it.
     disable_check_at: u64,
     /// The online health monitor / circuit breaker, when a supervisor
     /// policy is installed.
@@ -161,25 +230,24 @@ pub struct RegionState {
     /// Whether metadata hardening (checksums, shadow votes, counter
     /// clamps) is active.
     harden: bool,
-    /// Hardening checks that fired outside the chain (pending-record
-    /// checksum failures, counter clamps).
+    /// Hardening checks that fired outside the predictors
+    /// (pending-record checksum failures, counter clamps).
     metadata_detections: u64,
 }
 
 impl RegionState {
-    /// Creates region state with the paper's first-level predictor
-    /// installed as chain link 0.
+    /// Creates region state with dynamic interpolation as the only
+    /// predictor.
     pub fn new(di_config: DiConfig, has_body: bool, tick_period: u64) -> Self {
-        let mut chain = Chain::new();
-        chain.push(Box::new(DiPredictor::new(di_config)));
         RegionState {
-            ar: di_config.ar,
-            chain,
+            di: DynamicInterpolation::new(di_config),
+            di_level: Level::ON,
+            memo: None,
             has_body,
-            buffer: BTreeMap::new(),
+            held: VecDeque::new(),
+            held_base: 0,
             pending: VecDeque::new(),
             current: None,
-            seq: 0,
             qos: QosTable::new(),
             tick_period,
             since_tick: 0,
@@ -196,20 +264,14 @@ impl RegionState {
         }
     }
 
-    /// Installs a trained memoizer as the second-level predictor, with
-    /// the modeled per-attempt lookup cost.
+    /// Installs a trained memoizer as the second-level predictor.
     pub fn set_memoizer(&mut self, memo: Memoizer) {
-        let k = self.chain.push(Box::new(
-            MemoPredictor::new(memo, self.ar).with_costs(costs::MEMO_BASE, costs::MEMO_PER_INPUT),
-        ));
-        if self.harden {
-            self.chain.predictor_mut(k).set_harden(true);
-        }
+        self.memo = Some(MemoLevel::new(memo, self.harden));
     }
 
     /// Installs the online health monitor. From here on every observation
     /// is gated by the breaker: Degraded and off-probe elements bypass
-    /// the chain entirely and go straight to re-computation.
+    /// the cascade entirely and go straight to re-computation.
     pub fn set_supervisor(&mut self, policy: SupervisorPolicy) {
         self.supervisor = Some(Supervisor::new(policy));
     }
@@ -219,42 +281,45 @@ impl RegionState {
         self.supervisor.as_ref()
     }
 
-    /// Enables metadata hardening: chain predictors duplicate/vote their
-    /// state, pending re-computation records are checksum-verified before
-    /// replay, and counters are invariant-clamped at every tick.
+    /// Enables metadata hardening: DI votes its phase registers, memo
+    /// lookups are cross-checked against a shadow table, pending
+    /// re-computation records are checksum-verified before replay, and
+    /// counters are invariant-clamped at every tick.
     pub fn set_harden(&mut self, on: bool) {
         self.harden = on;
-        Predictor::set_harden(&mut self.chain, on);
+        self.di.set_harden(on);
+        if let Some(m) = self.memo.as_mut() {
+            m.set_harden(on);
+        }
     }
 
-    /// Total hardening self-checks that fired (chain plus region).
+    /// Total hardening self-checks that fired (predictors plus region).
     pub fn metadata_detections(&self) -> u64 {
-        self.metadata_detections + self.chain.total_detections()
+        self.metadata_detections
+            + self.di.detections()
+            + self.memo.as_ref().map_or(0, |m| m.detections)
     }
 
-    /// The chain's current tuning parameter, if any link has one.
-    pub fn current_tp(&self) -> Option<f64> {
-        self.chain.tuning()
-    }
-
-    /// Appends an arbitrary predictor to the fallback chain; returns its
-    /// link index. This is the extension point for predictors beyond the
-    /// paper's two — no runtime changes needed.
-    pub fn push_predictor(&mut self, predictor: Box<dyn Predictor>) -> usize {
-        self.chain.push(predictor)
+    /// DI's current tuning parameter.
+    pub fn current_tp(&self) -> f64 {
+        self.di.config().tp
     }
 
     /// Installs a trained QoS table and starting TP.
     pub fn set_qos(&mut self, qos: QosTable, default_tp: f64) {
         self.qos = qos;
-        self.chain.set_tuning(default_tp);
+        self.di.set_tp(default_tp);
     }
 
     /// Current counters.
     pub fn stats(&self) -> RegionStats {
+        let memo = self.memo.as_ref().map_or(Level::ON, |m| m.level);
         RegionStats {
             elements: self.elements,
-            links: self.chain.link_stats(),
+            di_attempts: self.di_level.attempts,
+            skipped_di: self.di_level.accepted,
+            memo_attempts: memo.attempts,
+            skipped_memo: memo.accepted,
             recomputed: self.recomputed,
             mispredictions: self.mispredictions,
             faults_recovered: self.faults_recovered,
@@ -269,121 +334,83 @@ impl RegionState {
         }
     }
 
-    /// Whether the PP version is worth selecting.
+    /// Whether the PP version is worth selecting: some predictor is
+    /// still enabled.
     pub fn pp_useful(&self) -> bool {
-        self.has_body && self.chain.any_enabled()
+        self.has_body
+            && (self.di_level.enabled || self.memo.as_ref().is_some_and(|m| m.level.enabled))
     }
 
-    /// Whether chain link `k` is enabled.
-    pub fn link_enabled(&self, k: usize) -> bool {
-        self.chain.enabled(k)
-    }
-
-    /// Enables or disables chain link `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range link index.
-    pub fn set_link_enabled(&mut self, k: usize, enabled: bool) {
-        self.chain.set_enabled(k, enabled);
-    }
-
-    /// Region entry: fresh numbering (the previous exit flushed state).
+    /// Region entry: DI restarts its element numbering (the previous
+    /// exit classified everything it held).
     pub fn enter(&mut self) -> u64 {
         self.entries += 1;
-        self.seq = 0;
-        self.chain.begin();
-        debug_assert!(self.buffer.is_empty(), "unflushed observations");
+        self.di.reset();
+        debug_assert!(self.held.is_empty(), "unflushed observations");
+        self.held.clear();
+        self.held_base = 0;
         costs::REGION_ENTER
     }
 
-    /// Region exit: flush the chain; its classification lands in the
-    /// pending queue / skip counters exactly like a live resolution.
+    /// Region exit: DI closes its last phase — even while disabled, it
+    /// classifies what it took before — and the result lands in the
+    /// pending queue / skip counters exactly like a live cut.
     pub fn exit(&mut self) -> u64 {
         let mut cost = costs::REGION_EXIT;
-        let out = self.chain.finish();
-        cost += self.absorb(out);
-        // Anything still buffered (nothing in practice — the chain
-        // resolves every fed element) goes pending.
-        let rest: Vec<u64> = self.buffer.keys().copied().collect();
-        for seq in rest {
-            if let Some(obs) = self.buffer.remove(&seq) {
-                cost += costs::CUT_PER_ELEMENT;
-                self.recomputed += 1;
-                self.pending.push_back(obs);
-            }
+        if let Some(cut) = self.di.flush() {
+            cost += self.settle(cut);
         }
+        // Anything still held (nothing in practice — DI classifies
+        // every element it observed) goes pending.
+        for (_, obs) in self.held.drain(..).flatten() {
+            cost += costs::CUT_PER_ELEMENT;
+            self.recomputed += 1;
+            self.pending.push_back(obs);
+        }
+        self.held_base = 0;
         cost
     }
 
     /// One loop output: returns the modeled cost.
     pub fn observe(&mut self, iter: i64, addr: i64, value: Value, args: &[Value]) -> u64 {
-        let v = match value {
-            Value::F(v) => v,
-            Value::I(v) => v as f64,
-        };
+        let v = as_f64(value);
         let mut cost = costs::OBSERVE_BASE + costs::OBSERVE_PER_ARG * args.len() as u64;
         self.elements += 1;
-        let seq = self.seq;
-        self.seq += 1;
-        let make_obs = || Obs {
+        let obs = || Obs {
             iter,
             addr,
             args: args.to_vec(),
             check: obs_checksum(iter, addr, args),
         };
 
-        // The breaker gates chain access per element. A bypassed element
-        // (Degraded, or an off-probe slot while Probing) never reaches a
-        // predictor: it goes straight to the re-compute queue, which is
-        // exactly the unprotected-of-predictions CP path. The chain's
+        // The breaker gates cascade access per element. A bypassed
+        // element (Degraded, or an off-probe slot while Probing) never
+        // reaches a predictor: it goes straight to the re-compute queue,
+        // which is exactly the unprotected-of-predictions CP path. The
         // enable bits are untouched, so `pp_useful` keeps selecting the
         // PP version and observations keep flowing — a supervisor that
         // starved itself of observations could never probe its way back.
-        let feed = match self.supervisor.as_mut() {
-            Some(sup) => sup.gate(),
-            None => true,
-        };
-        if feed {
-            let elem = Element {
-                seq,
-                value: v,
-                args: args
-                    .iter()
-                    .map(|a| match a {
-                        Value::F(v) => *v,
-                        Value::I(v) => *v as f64,
-                    })
-                    .collect(),
-            };
-            let out = self.chain.feed(elem);
-            // Fast path: the chain resolved exactly this element right
-            // away (the overwhelmingly common case — the first link
-            // accepts or rejects synchronously). The observation record
-            // never needs to enter the buffer, and on acceptance it
-            // never needs to be materialized at all. Identical
-            // bookkeeping and modeled cost to the general path below.
-            let solo =
-                (out.rejected.is_empty() && out.accepted.len() == 1 && out.accepted[0].0 == seq)
-                    || (out.accepted.is_empty() && out.rejected == [seq]);
-            if solo {
-                let accepted = out.rejected.is_empty();
-                cost += costs::CUT_PER_ELEMENT + out.cost;
-                if let Some(sup) = self.supervisor.as_mut() {
-                    sup.record(accepted);
-                }
-                if !accepted {
-                    self.recomputed += 1;
-                    self.pending.push_back(make_obs());
-                }
-            } else {
-                self.buffer.insert(seq, make_obs());
-                cost += self.absorb(out);
-            }
-        } else {
+        let fed = self.supervisor.as_mut().is_none_or(Supervisor::gate);
+        if !fed {
             cost += costs::CUT_PER_ELEMENT;
             self.recomputed += 1;
-            self.pending.push_back(make_obs());
+            self.pending.push_back(obs());
+        } else if self.di_level.enabled {
+            self.di_level.attempts += 1;
+            self.held.push_back(Some((v, obs())));
+            if let Some(cut) = self.di.observe(v) {
+                cost += self.settle(cut);
+            }
+        } else {
+            let (accepted, attempt) = self.fall_back(v, args);
+            cost += costs::CUT_PER_ELEMENT + attempt;
+            if let Some(sup) = self.supervisor.as_mut() {
+                sup.record(accepted);
+            }
+            if !accepted {
+                self.recomputed += 1;
+                self.pending.push_back(obs());
+            }
         }
 
         // Periodic run-time management (§5).
@@ -395,30 +422,69 @@ impl RegionState {
         cost
     }
 
-    /// Applies a chain outcome: accepted elements leave the buffer as
-    /// skips (the chain attributed them per link), rejected elements
-    /// become pending re-computations. Returns the modeled cost: the
-    /// per-element classification charge plus the chain's prediction
-    /// attempts.
-    fn absorb(&mut self, out: rskip_predict::ChainOutcome) -> u64 {
-        let cost = costs::CUT_PER_ELEMENT * out.resolved() as u64 + out.cost;
-        for (seq, _link) in out.accepted {
-            self.buffer.remove(&seq);
-            if let Some(sup) = self.supervisor.as_mut() {
-                sup.record(true);
-            }
+    /// Offers one element DI did not accept to the memoizer. Returns
+    /// whether it was accepted and the modeled cost of the attempt (0
+    /// without an enabled memoizer: the element goes straight to
+    /// re-computation).
+    fn fall_back(&mut self, value: f64, args: &[Value]) -> (bool, u64) {
+        let ar = self.di.config().ar;
+        let Some(m) = self.memo.as_mut().filter(|m| m.level.enabled) else {
+            return (false, 0);
+        };
+        m.level.attempts += 1;
+        let hit = m
+            .lookup(args)
+            .is_some_and(|p| relative_difference(value, p) <= ar);
+        m.level.accepted += hit as u64;
+        (
+            hit,
+            costs::MEMO_BASE + costs::MEMO_PER_INPUT * args.len() as u64,
+        )
+    }
+
+    /// Applies a DI phase cut: accepted elements leave the held buffer
+    /// as skips, rejects fall back to the memoizer in DI's order, and
+    /// its misses become pending re-computations. The supervisor hears
+    /// every acceptance of the cut, then every rejection. Returns the
+    /// modeled cost: the per-element classification charge plus the
+    /// memo attempts.
+    fn settle(&mut self, cut: CutResult) -> u64 {
+        let mut accepted = 0u64;
+        for &k in &cut.accepted {
+            accepted += self.take_held(k).is_some() as u64;
         }
-        for seq in out.rejected {
-            let Some(obs) = self.buffer.remove(&seq) else {
+        self.di_level.accepted += accepted;
+        let (mut rejected, mut attempts) = (0u64, 0u64);
+        for &k in &cut.pending {
+            let Some((value, obs)) = self.take_held(k) else {
                 continue;
             };
-            if let Some(sup) = self.supervisor.as_mut() {
-                sup.record(false);
+            let (hit, attempt) = self.fall_back(value, &obs.args);
+            attempts += attempt;
+            if hit {
+                accepted += 1;
+            } else {
+                rejected += 1;
+                self.recomputed += 1;
+                self.pending.push_back(obs);
             }
-            self.recomputed += 1;
-            self.pending.push_back(obs);
         }
-        cost
+        while let Some(None) = self.held.front() {
+            self.held.pop_front();
+            self.held_base += 1;
+        }
+        if let Some(sup) = self.supervisor.as_mut() {
+            (0..accepted).for_each(|_| sup.record(true));
+            (0..rejected).for_each(|_| sup.record(false));
+        }
+        costs::CUT_PER_ELEMENT * (accepted + rejected) + attempts
+    }
+
+    /// Empties the held slot of DI element `k`; `None` if DI never
+    /// handed it over or already classified it.
+    fn take_held(&mut self, k: u64) -> Option<(f64, Obs)> {
+        let slot = usize::try_from(k.checked_sub(self.held_base)?).ok()?;
+        self.held.get_mut(slot)?.take()
     }
 
     /// Flips one bit in this region's live runtime state — the SEU
@@ -426,20 +492,11 @@ impl RegionState {
     /// label, or `None` when the chosen target class holds no live state.
     pub fn flip_state(&mut self, target: StateFaultTarget, seed: u64) -> Option<String> {
         match target {
-            StateFaultTarget::MemoTable => self.flip_link_state("memo", seed),
-            StateFaultTarget::DiPhase => self.flip_link_state("di", seed),
+            StateFaultTarget::MemoTable => self.memo.as_mut()?.memo.corrupt_table_bit(seed),
+            StateFaultTarget::DiPhase => self.di.flip_state_bit(seed),
             StateFaultTarget::PendingQueue => self.flip_pending_bit(seed),
             StateFaultTarget::Counters => Some(self.flip_counter_bit(seed)),
         }
-    }
-
-    fn flip_link_state(&mut self, name: &str, seed: u64) -> Option<String> {
-        for k in 0..self.chain.len() {
-            if self.chain.predictor(k).name() == name {
-                return self.chain.predictor_mut(k).flip_state_bit(seed);
-            }
-        }
-        None
     }
 
     fn flip_pending_bit(&mut self, seed: u64) -> Option<String> {
@@ -541,7 +598,7 @@ impl RegionState {
     /// signature, look the TP up, keep the previous TP on a miss; check
     /// the disable conditions.
     fn tick(&mut self) -> u64 {
-        let changes = self.chain.drain_signal();
+        let changes = self.di.take_slope_changes();
         if !changes.is_empty() && !self.qos.is_empty() {
             let sig = signature(&changes, &DEFAULT_EDGES);
             let tp = self.qos.lookup(&sig);
@@ -555,9 +612,8 @@ impl RegionState {
                 sup.note_signature(self.qos.known_context(&sig));
             }
             if let Some(tp) = tp {
-                let current = self.chain.tuning().unwrap_or(tp);
-                if (tp - current).abs() > f64::EPSILON {
-                    self.chain.set_tuning(tp);
+                if (tp - self.di.config().tp).abs() > f64::EPSILON {
+                    self.di.set_tp(tp);
                     self.tp_adjustments += 1;
                 }
             }
@@ -573,24 +629,21 @@ impl RegionState {
             // bit is not.
             return costs::SIG_TICK;
         }
-        let links = self.chain.link_stats();
-        // Disable the first level at persistently poor accuracy (§5; the
-        // paper never observed this in its benchmarks, and neither do
-        // ours in practice).
-        if self.chain.enabled(0) && self.elements >= self.disable_check_at {
-            let di_rate = links[0].accepted as f64 / self.elements as f64;
+        // Disable DI at persistently poor accuracy (§5; the paper never
+        // observed this in its benchmarks, and neither do ours in
+        // practice).
+        if self.di_level.enabled && self.elements >= self.disable_check_at {
+            let di_rate = self.di_level.accepted as f64 / self.elements as f64;
             if di_rate < 0.02 {
-                self.chain.set_enabled(0, false);
+                self.di_level.enabled = false;
             }
             self.disable_check_at *= 4;
         }
-        // Disable fallback levels at poor run-time accuracy.
-        for (k, l) in links.iter().enumerate().skip(1) {
-            if l.enabled && l.attempts >= 512 {
-                let hit_rate = l.accepted as f64 / l.attempts as f64;
-                if hit_rate < 0.05 {
-                    self.chain.set_enabled(k, false);
-                }
+        // Disable the memoizer at poor run-time accuracy.
+        if let Some(m) = self.memo.as_mut() {
+            let l = &mut m.level;
+            if l.enabled && l.attempts >= 512 && (l.accepted as f64 / l.attempts as f64) < 0.05 {
+                l.enabled = false;
             }
         }
         costs::SIG_TICK
@@ -680,17 +733,8 @@ mod tests {
     fn memoizer_second_level_catches_di_rejects() {
         // Alternating values defeat interpolation; a memo keyed on the
         // (single) argument predicts them exactly.
-        let mut trainer = rskip_predict::MemoTrainer::new(1);
-        for i in 0..1000 {
-            let x = (i % 2) as f64;
-            trainer.add_sample(&[x], 5.0 + x * 100.0);
-        }
-        let memo = trainer.build(&rskip_predict::MemoConfig {
-            table_bits: 6,
-            hist_bins: 32,
-        });
         let mut state = RegionState::new(DiConfig { tp: 0.2, ar: 0.1 }, true, 64);
-        state.set_memoizer(memo);
+        state.set_memoizer(alternation_memo());
 
         state.enter();
         for i in 0..200i64 {
@@ -700,14 +744,12 @@ mod tests {
         state.exit();
         let stats = state.stats();
         assert!(
-            stats.skipped_memo() > 100,
+            stats.skipped_memo > 100,
             "memo skips: {} (attempts {})",
-            stats.skipped_memo(),
-            stats.memo_attempts()
+            stats.skipped_memo,
+            stats.memo_attempts
         );
         assert!(stats.skip_rate() > 0.5);
-        // The same numbers are visible by link name.
-        assert_eq!(stats.link("memo").unwrap().accepted, stats.skipped_memo());
     }
 
     #[test]
@@ -727,7 +769,7 @@ mod tests {
     #[test]
     fn disabled_di_sends_everything_to_pending() {
         let mut state = RegionState::new(DiConfig { tp: 0.5, ar: 0.2 }, true, 64);
-        state.set_link_enabled(0, false);
+        state.di_level.enabled = false;
         state.enter();
         for i in 0..50i64 {
             state.observe(i, i, Value::F(i as f64), &[]);
@@ -765,36 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn third_predictor_registers_through_the_trait() {
-        // A last-value predictor rides as link 2 with its own
-        // attribution — no runtime code knows it exists.
-        let mut state = RegionState::new(DiConfig { tp: 0.2, ar: 0.05 }, true, 64);
-        let k = state.push_predictor(Box::new(rskip_predict::LastValue::new(0.05)));
-        assert_eq!(k, 1);
-        state.enter();
-        // Alternating plateau: DI cuts constantly; last-value accepts
-        // every second element (the repeat of the previous value).
-        for i in 0..100i64 {
-            let v = if i % 4 < 2 { 5.0 } else { 80.0 };
-            state.observe(i, i, Value::F(v), &[]);
-        }
-        state.exit();
-        let stats = state.stats();
-        let lv = stats.link("last-value").expect("third link present");
-        assert!(lv.attempts > 0);
-        assert_eq!(
-            stats.total_skipped(),
-            stats.skipped_di() + lv.accepted,
-            "attribution is per link"
-        );
-        assert_eq!(
-            stats.total_skipped() + stats.recomputed,
-            stats.elements,
-            "every element resolved exactly once"
-        );
-    }
-
-    #[test]
     fn qos_miss_keeps_previous_tp_across_consecutive_unknown_signatures() {
         // Satellite pin: the paper keeps the previous TP when the current
         // signature is unknown to the QoS table. Adjust TP to 0.9 via a
@@ -813,7 +825,7 @@ mod tests {
         state.set_qos(qos, 0.1);
         let ramp: Vec<f64> = (0..100).map(|k| k as f64).collect();
         obs_loop(&mut state, &ramp);
-        assert_eq!(state.current_tp(), Some(0.9), "trained signature adjusts");
+        assert_eq!(state.current_tp(), 0.9, "trained signature adjusts");
 
         // Jagged alternation: huge slope changes, bin 5 dominates — an
         // unknown signature at every one of ~12 consecutive ticks.
@@ -823,7 +835,7 @@ mod tests {
         obs_loop(&mut state, &jagged);
         assert_eq!(
             state.current_tp(),
-            Some(0.9),
+            0.9,
             "a QoS miss must keep the previous TP, not reset to default"
         );
     }
@@ -856,7 +868,7 @@ mod tests {
         assert!(sup.demotions.total() >= 1, "reject storm must demote");
         assert!(sup.elements_degraded > 0);
         assert_eq!(stats.supervisor_state, "degraded");
-        // Element accounting survives the rerouting: every element is
+        // The accounting survives the rerouting: every element is
         // either skipped or drained from the pending queue exactly once.
         let mut drained = 0;
         while state.next_pending().0 >= 0 {
@@ -899,7 +911,7 @@ mod tests {
                 >= 1
         );
 
-        // Healthy input again: cooldown burns, probes sample the chain
+        // Healthy input again: cooldown burns, probes sample the cascade
         // (a stride-2 sample of a linear ramp is still linear), and the
         // region promotes itself back.
         for entry in 0..10 {
@@ -974,19 +986,285 @@ mod tests {
         assert!(stats.metadata_detections >= 1);
     }
 
+    /// A memoizer trained on `x in {0, 1} -> 5 + 100x`.
+    fn alternation_memo() -> Memoizer {
+        let mut trainer = rskip_predict::MemoTrainer::new(1);
+        for i in 0..1000 {
+            let x = (i % 2) as f64;
+            trainer.add_sample(&[x], 5.0 + x * 100.0);
+        }
+        trainer.build(&rskip_predict::MemoConfig {
+            table_bits: 6,
+            hist_bins: 32,
+        })
+    }
+
     #[test]
     fn per_link_disable_is_honored() {
-        let mut state = RegionState::new(DiConfig { tp: 0.2, ar: 0.05 }, true, 64);
-        let k = state.push_predictor(Box::new(rskip_predict::LastValue::new(0.05)));
-        state.set_link_enabled(k, false);
-        assert!(!state.link_enabled(k));
-        state.enter();
-        for i in 0..40i64 {
-            state.observe(i, i, Value::F(7.0), &[]);
-        }
-        state.exit();
-        assert_eq!(state.stats().links[k].attempts, 0);
-        // Still useful: link 0 remains enabled.
+        // Alternation with inputs the memo never saw: DI rejects every
+        // element and the memo misses each one, so a tick after its
+        // 512th attempt disables it.
+        let mut state = RegionState::new(DiConfig { tp: 0.2, ar: 0.05 }, true, 16);
+        state.set_memoizer(alternation_memo());
+        let jagged = |state: &mut RegionState| {
+            state.enter();
+            for i in 0..700i64 {
+                let v = if i % 2 == 0 { 1.0 } else { 1000.0 };
+                state.observe(i, i, Value::F(v), &[Value::F(9.0)]);
+            }
+            state.exit();
+        };
+        jagged(&mut state);
+        let attempts = state.stats().memo_attempts;
+        assert!((512..700).contains(&attempts), "attempts {attempts}");
+        assert!(!state.memo.as_ref().unwrap().level.enabled);
+        // Disabled: DI's rejects now go straight to re-computation.
+        jagged(&mut state);
+        assert_eq!(state.stats().memo_attempts, attempts);
+        assert_eq!(state.stats().recomputed, 1400);
+        // Still useful: DI remains enabled.
         assert!(state.pp_useful());
+    }
+
+    #[test]
+    fn disabled_di_passes_elements_to_the_memo() {
+        let mut trainer = rskip_predict::MemoTrainer::new(1);
+        for i in 0..500 {
+            let x = (i % 4) as f64;
+            trainer.add_sample(&[x], 10.0 * x);
+        }
+        let memo = trainer.build(&rskip_predict::MemoConfig {
+            table_bits: 6,
+            hist_bins: 16,
+        });
+        let mut state = RegionState::new(DiConfig { tp: 0.3, ar: 0.1 }, true, 64);
+        state.set_memoizer(memo);
+        state.di_level.enabled = false;
+        state.enter();
+        // Each element resolves at once: observation, classification and
+        // one memo attempt over its single input.
+        let expected = costs::OBSERVE_BASE
+            + costs::OBSERVE_PER_ARG
+            + costs::CUT_PER_ELEMENT
+            + costs::MEMO_BASE
+            + costs::MEMO_PER_INPUT;
+        assert_eq!(
+            state.observe(0, 0, Value::F(20.0), &[Value::F(2.0)]),
+            expected
+        );
+        assert_eq!(
+            state.observe(1, 1, Value::F(999.0), &[Value::F(2.0)]),
+            expected
+        );
+        assert_eq!(state.exit(), costs::REGION_EXIT);
+        let stats = state.stats();
+        assert_eq!(
+            (stats.di_attempts, stats.memo_attempts, stats.skipped_memo),
+            (0, 2, 1)
+        );
+        // The miss is the only re-computation.
+        assert_eq!(state.next_pending().0, 1);
+        assert_eq!(state.next_pending().0, -1);
+        assert!(state.pp_useful());
+    }
+
+    #[test]
+    fn hardened_memo_turns_a_corrupted_entry_into_a_miss() {
+        // Single trained cell so the injected flip hits the same entry the
+        // lookup reads. The shadow cross-check must degrade the corrupted
+        // lookup to a miss (fall through to re-computation), not serve it.
+        let mut trainer = rskip_predict::MemoTrainer::new(1);
+        for _ in 0..50 {
+            trainer.add_sample(&[2.0], 20.0);
+        }
+        let memo = trainer.build(&rskip_predict::MemoConfig {
+            table_bits: 4,
+            hist_bins: 16,
+        });
+        let key = [Value::F(2.0)];
+        // Hardening on before the memoizer arrives: it is shadowed on
+        // installation.
+        let mut state = RegionState::new(DiConfig { tp: 0.1, ar: 0.1 }, true, 64);
+        state.set_harden(true);
+        state.set_memoizer(memo.clone());
+        let site = state
+            .flip_state(StateFaultTarget::MemoTable, 62 << 32)
+            .expect("populated entry");
+        assert!(site.starts_with("memo["), "site = {site}");
+        let m = state.memo.as_mut().unwrap();
+        assert_eq!(m.lookup(&key), None, "cross-check must miss, not serve");
+        assert_eq!(state.metadata_detections(), 1);
+
+        // Unhardened control: the corrupted value is served as-is.
+        let mut bare = RegionState::new(DiConfig { tp: 0.1, ar: 0.1 }, true, 64);
+        bare.set_memoizer(memo);
+        bare.flip_state(StateFaultTarget::MemoTable, 62 << 32)
+            .expect("populated entry");
+        assert!(bare.memo.as_mut().unwrap().lookup(&key).is_some());
+        assert_eq!(bare.metadata_detections(), 0);
+    }
+
+    #[test]
+    fn empty_memo_has_no_state_to_flip() {
+        let mut state = RegionState::new(DiConfig::default(), true, 64);
+        assert!(state.flip_state(StateFaultTarget::MemoTable, 7).is_none());
+        let memo = rskip_predict::MemoTrainer::new(1).build(&rskip_predict::MemoConfig {
+            table_bits: 2,
+            hist_bins: 4,
+        });
+        state.set_memoizer(memo);
+        assert!(state.flip_state(StateFaultTarget::MemoTable, 7).is_none());
+    }
+
+    #[test]
+    fn tuning_reaches_di() {
+        let mut state = RegionState::new(DiConfig { tp: 0.5, ar: 0.2 }, true, 64);
+        assert_eq!(state.current_tp(), 0.5);
+        state.set_qos(QosTable::new(), 0.9);
+        assert_eq!(state.current_tp(), 0.9);
+    }
+
+    /// Drives one region through a stream that mixes every cascade
+    /// route and returns the drained pending iters, the summed modeled
+    /// cost and the final counters.
+    fn pinned_run(supervised: bool) -> (Vec<i64>, u64, RegionStats) {
+        let mut state = RegionState::new(DiConfig { tp: 0.2, ar: 0.1 }, true, 16);
+        state.set_memoizer(alternation_memo());
+        if supervised {
+            let mut policy = strict_policy();
+            policy.cooldown = 24;
+            policy.probe_stride = 2;
+            policy.min_probe_agreement = 0.6;
+            state.set_supervisor(policy);
+        }
+        let (mut iters, mut cost, mut iter) = (Vec::new(), 0u64, 0i64);
+        // Unsupervised: a first entry of 4100 elements the memo knows
+        // but DI cannot follow trips DI's accuracy disable rule at the
+        // 4096-element check; the later entries then reach the memo
+        // directly.
+        let entries: &[(i64, i64)] = if supervised {
+            &[(0, 150), (1, 150), (2, 150)]
+        } else {
+            &[(-1, 4100), (0, 150), (1, 150), (2, 150)]
+        };
+        for &(entry, len) in entries {
+            cost += state.enter();
+            for k in 0..len {
+                let phase = if entry < 0 {
+                    30 + k % 30
+                } else {
+                    (k + 7 * entry) % 150
+                };
+                let (v, x) = match phase {
+                    // Smooth ramp: DI accepts interiors; endpoints miss
+                    // the memo (value far from the x = 0 entry).
+                    k @ 0..=29 => (10.0 + 0.5 * k as f64, 0.0),
+                    // Alternation the memo knows: DI rejects, memo hits.
+                    k @ 30..=59 => (5.0 + 100.0 * (k % 2) as f64, (k % 2) as f64),
+                    // Alternation with unknown args: memo misses.
+                    k @ 60..=94 => (5.0 + 100.0 * (k % 2) as f64, 9.0),
+                    // Smooth again: probes agree, the breaker promotes.
+                    k => (200.0 + 2.0 * k as f64, 0.0),
+                };
+                cost += state.observe(iter, 1000 + iter, Value::F(v), &[Value::F(x)]);
+                iter += 1;
+            }
+            cost += state.exit();
+            loop {
+                let (it, c) = state.next_pending();
+                cost += c;
+                if it < 0 {
+                    break;
+                }
+                iters.push(it);
+                cost += if it % 7 == 3 {
+                    state.resolve_fault()
+                } else {
+                    state.resolve_ok()
+                };
+            }
+        }
+        (iters, cost, state.stats())
+    }
+
+    #[test]
+    fn cascade_order_is_pinned() {
+        // Supervised: smooth DI phases, memo hits and misses, three
+        // demotions whose bypassed elements leave gaps in DI's numbering,
+        // probes that promote back, and re-entries. Captured before the
+        // cascade moved into `RegionState`.
+        let (iters, cost, stats) = pinned_run(true);
+        #[rustfmt::skip]
+        let expected: [i64; 193] = [
+            0, 29, 60, 62, 64, 66, 68, 70, 72, 74, 76, 78, 80, 82, 84, 86, 88, 90, 92, 94, 95,
+            97, 98, 99, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113,
+            114, 115, 116, 117, 118, 119, 120, 121, 96, 123, 122, 125, 127, 129, 131, 133, 135,
+            137, 139, 141, 143, 145, 147, 149, 148, 150, 172, 203, 205, 207, 209, 211, 213,
+            215, 217, 219, 221, 223, 225, 227, 229, 231, 233, 235, 237, 238, 240, 241, 242,
+            243, 244, 245, 246, 247, 248, 249, 250, 251, 252, 253, 254, 255, 256, 257, 258,
+            259, 260, 261, 262, 263, 264, 239, 266, 265, 268, 270, 272, 274, 276, 278, 280,
+            282, 284, 286, 288, 290, 292, 291, 293, 299, 300, 315, 346, 348, 350, 352, 354,
+            356, 358, 360, 362, 364, 366, 368, 370, 372, 374, 376, 378, 380, 381, 383, 384,
+            385, 386, 387, 388, 389, 390, 391, 392, 393, 394, 395, 396, 397, 398, 399, 400,
+            401, 402, 403, 404, 405, 406, 407, 382, 409, 408, 411, 413, 415, 417, 419, 421,
+            423, 425, 427, 429, 431, 433, 435, 434, 436, 449,
+        ];
+        assert_eq!(iters, expected);
+        assert_eq!(cost, 8634);
+        assert_eq!(
+            stats,
+            RegionStats {
+                elements: 450,
+                di_attempts: 333,
+                skipped_di: 116,
+                memo_attempts: 217,
+                skipped_memo: 141,
+                recomputed: 193,
+                mispredictions: 166,
+                faults_recovered: 27,
+                tp_adjustments: 0,
+                entries: 3,
+                supervisor: Some(SupervisorStats {
+                    elements_predicting: 289,
+                    elements_degraded: 72,
+                    elements_probing: 89,
+                    demotions: crate::supervisor::DemotionCauses {
+                        reject_rate: 3,
+                        fault_rate: 0,
+                        drift: 0,
+                        failed_probe: 0,
+                    },
+                    promotions: 3,
+                }),
+                supervisor_state: "predict",
+                metadata_detections: 0,
+            }
+        );
+
+        // Unsupervised: DI's accuracy rule disables it at the 4096th
+        // element; from then on the memo sees every element first.
+        let (iters, cost, stats) = pinned_run(false);
+        let bytes: Vec<u8> = iters.iter().flat_map(|i| i.to_le_bytes()).collect();
+        assert_eq!(iters.len(), 309);
+        assert_eq!(rskip_core::digest::fnv1a64(&bytes), 0x19e1_6893_df1a_f066);
+        assert_eq!(cost, 103_333);
+        assert_eq!(
+            stats,
+            RegionStats {
+                elements: 4550,
+                di_attempts: 4096,
+                skipped_di: 0,
+                memo_attempts: 4550,
+                skipped_memo: 4241,
+                recomputed: 309,
+                mispredictions: 266,
+                faults_recovered: 43,
+                tp_adjustments: 0,
+                entries: 4,
+                supervisor: None,
+                supervisor_state: "off",
+                metadata_detections: 0,
+            }
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! Training gives each region a QoS table keyed by context signature;
 //! deployment until now trusted that table unconditionally. The
 //! [`Supervisor`] closes the loop: it watches the health signals the
-//! region already produces — chain reject rate, detected-fault rate, and
+//! region already produces — cascade reject rate, detected-fault rate, and
 //! whether the current context signature is one the QoS table was
 //! trained on — and drives a three-state circuit breaker:
 //!
@@ -19,19 +19,19 @@
 //!                 probe agreement < threshold ──▶ (back to Degraded)
 //! ```
 //!
-//! * **Predicting** — the chain is live. Resolved elements accumulate
+//! * **Predicting** — the cascade is live. Resolved elements accumulate
 //!   into fixed-size health windows; a bad window or a drift streak
 //!   demotes the region.
-//! * **Degraded** — every element bypasses the chain and is re-computed
+//! * **Degraded** — every element bypasses the cascade and is re-computed
 //!   (the CP/SWIFT-R fallback). Protection is maximal, skip rate is
 //!   zero. After `cooldown` elements the region starts probing.
-//! * **Probing** — every `probe_stride`-th element is fed to the chain;
+//! * **Probing** — every `probe_stride`-th element is fed to the cascade;
 //!   the rest stay on the re-compute path. Once `probe_window` probes
 //!   resolve, agreement ≥ `min_probe_agreement` promotes the region
 //!   back; anything less re-demotes it for a fresh cooldown.
 //!
 //! The machine is **pure bookkeeping** — no clocks, no I/O, no knowledge
-//! of the chain — which is what makes its hysteresis property testable:
+//! of the cascade — which is what makes its hysteresis property testable:
 //! from the moment a region enters Degraded, Predicting is unreachable
 //! for at least `cooldown + probe_window` elements, for *any* input
 //! sequence (see the property tests in `tests/proptest_supervisor.rs`).
@@ -45,11 +45,11 @@ use rskip_core::SupervisorPolicy;
 /// The circuit-breaker state of one region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SupervisorState {
-    /// Chain live, health windows scored.
+    /// Cascade live, health windows scored.
     Predicting,
-    /// Chain bypassed; everything re-computed.
+    /// Cascade bypassed; everything re-computed.
     Degraded,
-    /// Chain sampled on a fraction of elements.
+    /// Cascade sampled on a fraction of elements.
     Probing,
 }
 
@@ -112,7 +112,7 @@ impl SupervisorStats {
 pub struct Supervisor {
     policy: SupervisorPolicy,
     state: SupervisorState,
-    /// Element clock: one tick per [`gate`](Self::gate) call.
+    /// The element clock: one tick per [`gate`](Self::gate) call.
     clock: u64,
     // --- Predicting: health-window accumulation ---
     win_resolved: u32,
@@ -169,7 +169,7 @@ impl Supervisor {
     }
 
     /// Gates one observed element: returns `true` if it should be fed to
-    /// the prediction chain, `false` if it must take the re-compute path.
+    /// the prediction cascade, `false` if it must take the re-compute path.
     /// Also advances the element clock — in Degraded, each gated element
     /// burns cooldown, and the transition to Probing happens here.
     pub fn gate(&mut self) -> bool {
@@ -202,11 +202,11 @@ impl Supervisor {
         }
     }
 
-    /// Records one chain-resolved element (`accepted` = the chain
+    /// Records one cascade-resolved element (`accepted` = a predictor
     /// skipped it; `!accepted` = it was rejected to the pending queue).
     /// In Predicting this feeds the health window; in Probing it feeds
     /// the promotion decision. Late resolutions arriving in Degraded
-    /// (chain elements flushed after a demotion) are ignored.
+    /// (held elements classified after a demotion) are ignored.
     pub fn record(&mut self, accepted: bool) {
         match self.state {
             SupervisorState::Predicting => {
@@ -340,7 +340,7 @@ mod tests {
         }
     }
 
-    /// Feeds `n` elements, recording each chain-gated one as `accepted`.
+    /// Feeds `n` elements, recording each cascade-gated one as `accepted`.
     fn drive(sup: &mut Supervisor, n: u32, accepted: bool) {
         for _ in 0..n {
             if sup.gate() {
@@ -406,7 +406,7 @@ mod tests {
             assert!(!sup.gate());
         }
         assert_eq!(sup.state(), SupervisorState::Probing);
-        // Probing: every 2nd element reaches the chain. Feed good probes.
+        // Probing: every 2nd element reaches the cascade. Feed good probes.
         let mut probed = 0;
         while sup.state() == SupervisorState::Probing {
             if sup.gate() {
@@ -464,7 +464,7 @@ mod tests {
         let mut sup = Supervisor::new(policy());
         drive(&mut sup, 8, false);
         assert_eq!(sup.state(), SupervisorState::Degraded);
-        // A chain flush after demotion delivers stragglers; they must not
+        // A DI flush after demotion delivers stragglers; they must not
         // perturb cooldown or probe accounting.
         sup.record(true);
         sup.record(false);

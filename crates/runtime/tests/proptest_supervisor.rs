@@ -5,7 +5,7 @@
 //! accepted/rejected elements, detected faults and signature ticks, under
 //! any (possibly degenerate) policy. Elements are driven through the
 //! region contract — `record` is only called for elements `gate` routed
-//! to the chain, which is how `RegionState` uses the machine.
+//! to the cascade, which is how `RegionState` uses the machine.
 
 use proptest::prelude::*;
 use rskip_runtime::{Supervisor, SupervisorPolicy, SupervisorState};
@@ -13,9 +13,9 @@ use rskip_runtime::{Supervisor, SupervisorPolicy, SupervisorState};
 /// One unit of workload behavior, as the supervisor sees it.
 #[derive(Clone, Copy, Debug)]
 enum Event {
-    /// An observed element; the payload is whether the chain would
+    /// An observed element; the payload is whether the cascade would
     /// accept it if it gets fed.
-    Element(bool),
+    Observed(bool),
     /// A detected fault (pending-replay mismatch or hardening check).
     Fault,
     /// A periodic signature tick; the payload is whether the context is
@@ -25,9 +25,9 @@ enum Event {
 
 fn event() -> impl Strategy<Value = Event> {
     prop_oneof![
-        any::<bool>().prop_map(Event::Element),
-        any::<bool>().prop_map(Event::Element),
-        any::<bool>().prop_map(Event::Element),
+        any::<bool>().prop_map(Event::Observed),
+        any::<bool>().prop_map(Event::Observed),
+        any::<bool>().prop_map(Event::Observed),
         Just(Event::Fault),
         any::<bool>().prop_map(Event::Signature),
     ]
@@ -74,7 +74,7 @@ proptest! {
         let mut degraded_at: Option<u64> = None;
         for ev in events {
             match ev {
-                Event::Element(accepted) => {
+                Event::Observed(accepted) => {
                     if sup.gate() {
                         sup.record(accepted);
                     }
@@ -111,7 +111,7 @@ proptest! {
         let mut sup = Supervisor::new(p);
         for ev in events {
             match ev {
-                Event::Element(accepted) => {
+                Event::Observed(accepted) => {
                     if sup.gate() {
                         sup.record(accepted);
                     }

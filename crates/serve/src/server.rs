@@ -54,7 +54,7 @@
 //! checked between chunks, never mid-chunk.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -121,6 +121,12 @@ pub struct RecoveryReport {
 
 /// Ceiling for the queue-full backoff hint, before jitter.
 pub const BACKOFF_CAP_MS: u64 = 2_000;
+
+/// Longest request line a connection buffers, far above any real frame
+/// (a `JobSpec` encodes to a few hundred bytes). A client that streams
+/// past it without a newline gets a `MalformedFrame` error and is
+/// disconnected instead of growing the server's buffer without bound.
+const MAX_REQUEST_LINE: u64 = 1 << 20;
 
 /// The backpressure hint for a full queue: linear in the backlog,
 /// capped at [`BACKOFF_CAP_MS`], plus up to 25% deterministic-in-
@@ -500,13 +506,31 @@ fn handle_connection<R: CampaignRunner>(
     // v2-only error kinds are mapped to their v1 equivalents.
     let mut session_protocol: u32 = 1;
     let registry: CancelRegistry = Arc::new(Mutex::new(HashMap::new()));
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match (&mut reader)
+            .take(MAX_REQUEST_LINE + 1)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() != Some(&b'\n') && buf.len() as u64 > MAX_REQUEST_LINE {
+            let _ = out.send(Response::Error {
+                error: ErrorKind::MalformedFrame,
+                detail: format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+            });
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let request = match decode::<Request>(&line) {
+        let request = match decode::<Request>(line) {
             Ok(r) => r,
             Err(detail) => {
                 let _ = out.send(Response::Error {
@@ -556,11 +580,11 @@ fn handle_connection<R: CampaignRunner>(
             }
         }
     }
-    // Client gone (EOF, error, or post-Shutdown): *suspend* whatever it
-    // still had in flight — progress parks under the job key and a
-    // resubmission (same client retrying, or a restart replaying the
-    // journal) resumes at the next chunk boundary. Only an explicit
-    // Cancel frame is terminal.
+    // Client gone (EOF, error, oversized line, or post-Shutdown):
+    // *suspend* whatever it still had in flight — progress parks under
+    // the job key and a resubmission (same client retrying, or a restart
+    // replaying the journal) resumes at the next chunk boundary. Only an
+    // explicit Cancel frame is terminal.
     for flags in registry.lock().unwrap().values() {
         flags.suspend.store(true, Ordering::SeqCst);
     }

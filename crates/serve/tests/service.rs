@@ -772,3 +772,50 @@ fn restart_resumes_suspended_job_and_caches_its_result() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn endless_request_line_is_refused_and_the_server_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", Arc::new(MockRunner), ServerConfig::default())
+        .expect("bind loopback");
+
+    // 2 MiB with no newline, written from its own thread: the server
+    // stops reading at its 1 MiB cap, so this write may end in a reset.
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut flood = stream.try_clone().expect("clone");
+    let writer = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..32 {
+            if flood.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut frames = BufReader::new(stream).lines();
+    let mut next = || {
+        let line = frames
+            .next()
+            .expect("a frame before the connection closes")
+            .expect("a frame within the read timeout");
+        decode::<Response>(&line).expect("response frame")
+    };
+    assert!(matches!(next(), Response::Hello { .. }));
+    match next() {
+        Response::Error { error, detail } => {
+            assert_eq!(error, ErrorKind::MalformedFrame);
+            assert!(detail.contains("1048576"), "detail names the cap: {detail}");
+        }
+        other => panic!("expected MalformedFrame error, got {other:?}"),
+    }
+    writer.join().expect("writer thread");
+
+    // A second connection is served as usual.
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let job = client.submit_accepted(&spec(50, 10)).expect("accept");
+    let outcome = client.stream_job(job, |_| {}).expect("stream");
+    assert_eq!(outcome.done.executed, 50);
+
+    server.shutdown();
+}
