@@ -753,6 +753,34 @@ mod tests {
     }
 
     #[test]
+    fn second_level_skips_are_attributed_per_level() {
+        let mut state = RegionState::new(DiConfig { tp: 0.2, ar: 0.1 }, true, 64);
+        state.set_memoizer(alternation_memo());
+        state.enter();
+        for i in 0..200i64 {
+            let x = (i % 2) as f64;
+            state.observe(i, i, Value::F(5.0 + x * 100.0), &[Value::F(x)]);
+        }
+        state.exit();
+        let mut drained = 0;
+        while state.next_pending().0 >= 0 {
+            drained += 1;
+        }
+        let stats = state.stats();
+        assert!(
+            stats.skipped_memo > 100,
+            "memo skips {}",
+            stats.skipped_memo
+        );
+        // Every element resolved exactly once.
+        assert_eq!(stats.total_skipped() + drained, 200);
+        assert_eq!(stats.recomputed, drained);
+        // DI saw every element and handed each reject to the memo once.
+        assert_eq!(stats.di_attempts, 200);
+        assert_eq!(stats.memo_attempts, 200 - stats.skipped_di);
+    }
+
+    #[test]
     fn qos_adjusts_tp_on_signature_match() {
         let mut state = RegionState::new(DiConfig { tp: 0.1, ar: 0.2 }, true, 16);
         let mut qos = QosTable::new();
@@ -1026,19 +1054,46 @@ mod tests {
         assert!(state.pp_useful());
     }
 
-    #[test]
-    fn disabled_di_passes_elements_to_the_memo() {
+    /// A memoizer trained on `x in {0, 1, 2, 3} -> 10x`.
+    fn quarter_memo() -> Memoizer {
         let mut trainer = rskip_predict::MemoTrainer::new(1);
         for i in 0..500 {
             let x = (i % 4) as f64;
             trainer.add_sample(&[x], 10.0 * x);
         }
-        let memo = trainer.build(&rskip_predict::MemoConfig {
+        trainer.build(&rskip_predict::MemoConfig {
             table_bits: 6,
             hist_bins: 16,
-        });
+        })
+    }
+
+    #[test]
+    fn disabled_di_passes_elements_to_the_memo() {
         let mut state = RegionState::new(DiConfig { tp: 0.3, ar: 0.1 }, true, 64);
-        state.set_memoizer(memo);
+        state.set_memoizer(quarter_memo());
+        state.di_level.enabled = false;
+        // A repeating stream DI would accept the interiors of; disabled,
+        // it sees none of it and the memo takes every element. Element 0
+        // is off the trained curve, so it is the memo's only miss.
+        state.enter();
+        for i in 0..50i64 {
+            let x = (i % 4) as f64;
+            let v = if i == 0 { 999.0 } else { 10.0 * x };
+            state.observe(i, i, Value::F(v), &[Value::F(x)]);
+        }
+        state.exit();
+        let stats = state.stats();
+        assert_eq!(stats.di_attempts, 0);
+        assert_eq!(stats.memo_attempts, 50);
+        assert_eq!(stats.skipped_memo, 49);
+        assert_eq!(state.next_pending().0, 0);
+        assert_eq!(state.next_pending().0, -1);
+    }
+
+    #[test]
+    fn memo_level_resolves_immediately() {
+        let mut state = RegionState::new(DiConfig { tp: 0.3, ar: 0.1 }, true, 64);
+        state.set_memoizer(quarter_memo());
         state.di_level.enabled = false;
         state.enter();
         // Each element resolves at once: observation, classification and
