@@ -48,7 +48,8 @@
 //! let protected = protect(&module, Scheme::RSkip);
 //!
 //! // 3. Attach the prediction runtime and run.
-//! let rt = PredictionRuntime::from_plan(&protected.plan(), RuntimeConfig::with_ar(0.2));
+//! let inits = rskip::region_inits(&protected);
+//! let rt = PredictionRuntime::new(&inits, RuntimeConfig::with_ar(0.2));
 //! let mut machine = Machine::new(&protected.module, rt);
 //! input.apply(&mut machine);
 //! let outcome = machine.run("main", &[]);

@@ -119,13 +119,7 @@ impl ArmedFault {
     /// the run's counters, region nesting and boundary count.
     pub(crate) fn due(&self, counters: &Counters, region_depth: u32, boundary: u64) -> bool {
         match self {
-            ArmedFault::Random(plan) => {
-                if plan.anywhere {
-                    counters.retired >= plan.trigger
-                } else {
-                    region_depth > 0 && counters.region_retired >= plan.trigger
-                }
-            }
+            ArmedFault::Random(plan) => region_depth > 0 && counters.region_retired >= plan.trigger,
             ArmedFault::Exact(fault) => boundary >= fault.at,
             // The runtime's own metadata outlives region activations (the
             // pending queue, for one, drains in the post-exit flush
@@ -297,21 +291,18 @@ pub fn skip_holds_fire(module: &Module, (func, block, ip): (u32, u32, u32)) -> b
 }
 
 /// One armed random fault: at the `trigger`-th retired instruction
-/// (counted inside protection regions unless `anywhere`), apply the
-/// effect of `model` to a random live target.
+/// counted inside protection regions, apply the effect of `model` to a
+/// random live target. The paper injects "only into the detected loops";
+/// outside a region the plan never fires.
 ///
 /// Deterministic given `seed` — campaigns are reproducible.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InjectionPlan {
-    /// Fire when this many instructions have retired (region-scoped count
-    /// unless `anywhere` is set).
+    /// Fire inside a region once this many region instructions have
+    /// retired.
     pub trigger: u64,
     /// RNG seed for target selection.
     pub seed: u64,
-    /// When true, count *all* retired instructions instead of only those
-    /// inside protection regions. The paper injects "only into the detected
-    /// loops"; `anywhere` exists for whole-program studies and tests.
-    pub anywhere: bool,
     /// The fault effect sampled at the trigger.
     pub model: FaultModel,
 }

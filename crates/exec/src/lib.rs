@@ -28,8 +28,9 @@
 //!   bit-exact output comparison ("our evaluation considers even small
 //!   output errors as bad quality").
 //! * [`ExecTier`] — selectable execution engines over one decode: the
-//!   reference match-dispatch interpreter (semantics oracle) and a
-//!   direct-threaded tier (the default, observationally identical,
+//!   reference match-dispatch interpreter (semantics oracle, and the
+//!   only engine of timed and traced runs) and a direct-threaded tier
+//!   (the default for every other run, observationally identical,
 //!   faster). Decodes are shared
 //!   process-wide through a content-hash cache ([`decode_cache_stats`]).
 
@@ -54,5 +55,7 @@ pub use fault::{
     InjectionPlan, InjectionRecord, OutcomeClass,
 };
 pub use hooks::{IntrinsicAction, NoopHooks, RuntimeHooks};
-pub use machine::{run_simple, ExecConfig, ExecTier, Machine, RunOutcome, Termination, Trap};
+pub use machine::{
+    run_simple, ExecConfig, ExecTier, Machine, RunOutcome, Termination, Trap, MAX_CALL_DEPTH,
+};
 pub use pipeline::{class_of, latency_of, latency_of_class, OpClass, Pipeline, PipelineConfig};

@@ -33,7 +33,7 @@ pub enum Trap {
     /// Call to a function that does not exist (cannot happen in verified
     /// modules, kept for robustness) — *Core dump*.
     UnknownFunction(String),
-    /// Call stack exceeded the configured depth — *Core dump*.
+    /// Call stack exceeded [`MAX_CALL_DEPTH`] frames — *Core dump*.
     StackOverflow,
     /// The dynamic instruction budget was exhausted — the *Hang* class.
     StepLimit,
@@ -108,14 +108,17 @@ impl RunOutcome {
 
 /// Which execution engine runs the decoded program.
 ///
-/// Every tier is observationally identical — byte-identical memory,
-/// counters, timing and injection records ([`crate::threaded`] documents
-/// the exactness argument; `tests/tier_equivalence.rs` in the harness
-/// crate enforces it). They differ only in speed:
+/// The threaded tier runs untimed, untraced runs; everything else — every
+/// run with [`ExecConfig::timing`] set and every
+/// [`Machine::run_traced`] census — runs on the reference loop, whatever
+/// the configured tier. Within that rule the tiers are observationally
+/// identical — byte-identical memory, counters, timing and injection
+/// records ([`crate::threaded`] documents the exactness argument;
+/// `tests/tier_equivalence.rs` in the harness crate enforces it). They
+/// differ only in speed:
 ///
 /// * [`ExecTier::Match`] — the reference match-dispatch interpreter in
-///   this module. Kept as the semantics oracle; traced (census) runs
-///   always use it.
+///   this module. Kept as the semantics oracle and the one timing model.
 /// * [`ExecTier::Threaded`] — direct-threaded dispatch: one pre-selected
 ///   handler `fn` pointer per flattened instruction. The default.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -176,17 +179,21 @@ impl fmt::Display for ExecTier {
     }
 }
 
+/// Call-stack depth at which a call traps with [`Trap::StackOverflow`],
+/// on both tiers.
+pub const MAX_CALL_DEPTH: usize = 1024;
+
 /// Interpreter configuration.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
     /// Dynamic instruction budget; exceeding it traps with
     /// [`Trap::StepLimit`] (the *Hang* classifier).
     pub step_limit: u64,
-    /// Enable the cycle-accurate-ish pipeline model.
+    /// Enable the cycle-accurate-ish pipeline model. Timed runs always
+    /// execute on the reference loop (see [`ExecTier`]).
     pub timing: Option<PipelineConfig>,
-    /// Maximum call depth.
-    pub max_call_depth: usize,
-    /// Execution engine (defaults to [`ExecTier::from_env`]).
+    /// Execution engine for untimed, untraced runs (defaults to
+    /// [`ExecTier::from_env`]).
     pub tier: ExecTier,
 }
 
@@ -195,7 +202,6 @@ impl Default for ExecConfig {
         ExecConfig {
             step_limit: 500_000_000,
             timing: None,
-            max_call_depth: 1024,
             tier: ExecTier::from_env(),
         }
     }
@@ -449,8 +455,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         } = self;
         // Traced (census) runs always go through the reference loop: the
         // trace wants (block, ip) program points, and the oracle tier is
-        // what the census is defined against.
-        if trace.is_none() && config.tier != ExecTier::Match {
+        // what the census is defined against. Timed runs do too: the
+        // reference loop holds the one pipeline timing model.
+        if trace.is_none() && config.timing.is_none() && config.tier != ExecTier::Match {
             return crate::threaded::exec_threaded(
                 program.get(),
                 hooks,
@@ -738,7 +745,7 @@ fn exec_loop<H: RuntimeHooks>(
                 }
                 DInst::Call { dst, target, args } => {
                     counters.calls += 1;
-                    if stack.len() >= config.max_call_depth {
+                    if stack.len() >= MAX_CALL_DEPTH {
                         break Termination::Trapped(Trap::StackOverflow);
                     }
                     let mut new = acquire_frame(pool, prog, *target as usize);
@@ -756,7 +763,7 @@ fn exec_loop<H: RuntimeHooks>(
                 }
                 DInst::CallUnknown { name } => {
                     counters.calls += 1;
-                    if stack.len() >= config.max_call_depth {
+                    if stack.len() >= MAX_CALL_DEPTH {
                         break Termination::Trapped(Trap::StackOverflow);
                     }
                     break Termination::Trapped(Trap::UnknownFunction(name.to_string()));
@@ -1487,7 +1494,6 @@ mod tests {
             machine.set_injection(InjectionPlan {
                 trigger: 500,
                 seed,
-                anywhere: false,
                 model: FaultModel::SingleBitSeu,
             });
             let out = machine.run("main", &[]);
@@ -1505,8 +1511,7 @@ mod tests {
 
     #[test]
     fn injection_respects_region_scope() {
-        // No region markers at all: with anywhere=false the plan never
-        // fires.
+        // No region markers at all: the region-scoped plan never fires.
         let mut mb = ModuleBuilder::new("m");
         let mut f = mb.function("main", vec![], Some(Ty::I64));
         let x = f.bin(BinOp::Add, Ty::I64, Operand::imm_i(1), Operand::imm_i(2));
@@ -1517,7 +1522,6 @@ mod tests {
         machine.set_injection(InjectionPlan {
             trigger: 0,
             seed: 1,
-            anywhere: false,
             model: FaultModel::SingleBitSeu,
         });
         let out = machine.run("main", &[]);
@@ -1681,15 +1685,31 @@ mod tests {
         assert_eq!(returned_i(&out), 120);
     }
 
+    /// [`straight_line`] inside one protection region:
+    /// `region_enter; x = 1 + 2; y = x * 10; region_exit; ret y`. Region
+    /// instruction 1 is retired right after the add, so a plan with
+    /// trigger 1 fires at the boundary before the mul, with `x` the only
+    /// live register.
+    fn straight_line_region() -> Module {
+        let mut mb = ModuleBuilder::new("m");
+        let mut f = mb.function("main", vec![], Some(Ty::I64));
+        f.intrinsic(Intrinsic::RegionEnter, vec![Operand::imm_i(0)]);
+        let x = f.bin(BinOp::Add, Ty::I64, Operand::imm_i(1), Operand::imm_i(2));
+        let y = f.bin(BinOp::Mul, Ty::I64, Operand::reg(x), Operand::imm_i(10));
+        f.intrinsic(Intrinsic::RegionExit, vec![Operand::imm_i(0)]);
+        f.ret(Some(Operand::reg(y)));
+        f.finish();
+        mb.finish()
+    }
+
     #[test]
     fn random_burst_flips_a_contiguous_window() {
-        let m = straight_line();
+        let m = straight_line_region();
         for seed in 0..16 {
             let mut machine = Machine::new(&m, NoopHooks);
             machine.set_injection(InjectionPlan {
                 trigger: 1,
                 seed,
-                anywhere: true,
                 model: FaultModel::MultiBitBurst { width: 5 },
             });
             let out = machine.run("main", &[]);
@@ -1706,17 +1726,21 @@ mod tests {
 
     #[test]
     fn random_skip_fires_as_bubble() {
-        let m = straight_line();
+        let m = straight_line_region();
+        let clean = run_simple(&m, "main", &[]);
+        assert_eq!(returned_i(&clean), 30);
         let mut machine = Machine::new(&m, NoopHooks);
         machine.set_injection(InjectionPlan {
             trigger: 1,
             seed: 7,
-            anywhere: true,
             model: FaultModel::InstructionSkip,
         });
         let out = machine.run("main", &[]);
         let rec = out.injection.as_ref().expect("skip fired");
         assert_eq!(rec.effect, FaultEffect::SkippedInstruction);
+        assert_eq!(rec.ip, 2, "strikes the mul, the instruction at the trigger");
+        // The bubble still retires: same dynamic instruction count.
+        assert_eq!(out.counters.retired, clean.counters.retired);
         assert_ne!(returned_i(&out), 30);
     }
 

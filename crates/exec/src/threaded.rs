@@ -16,22 +16,25 @@
 //!
 //! # Exactness
 //!
-//! The tier is observationally identical to the reference interpreter —
-//! byte-identical memory, counters, injection records and timing — which
-//! the fault model depends on. **Event fuel** makes that cheap: the
-//! reference loop re-evaluates fault-injection due-ness and the step
-//! limit at *every* instruction boundary. Both are monotone in counters
-//! that advance by at most one per boundary — except intrinsics, whose
-//! modeled cost advances them in jumps. The threaded loop therefore
-//! computes `next_check`, the earliest boundary at which any armed event
-//! could fire, checks events only when `boundary >= next_check`, and
-//! forces a recomputation after every intrinsic (the only non-unit
-//! advance). Firing boundaries are bit-exact with the reference loop, and
-//! the register effect itself is the reference tier's: both call the
-//! shared injectors in [`crate::fault`].
-//!
-//! Traced runs (the enumeration census) always use the reference loop;
-//! probe replays with [`crate::ExactFault`] run threaded and fire at the
+//! The tier runs only untimed, untraced runs — the campaign engine's
+//! trials. [`crate::Machine`] routes every timed run
+//! ([`crate::ExecConfig::timing`] set) and every traced census run to the
+//! reference loop, so the pipeline timing model has one implementation
+//! and cycles and mispredicts agree across tiers by routing. For the
+//! runs it does take, the tier is observationally identical to the
+//! reference interpreter — byte-identical memory, counters and injection
+//! records — which the fault model depends on. **Event fuel** makes that
+//! cheap: the reference loop re-evaluates fault-injection due-ness and
+//! the step limit at *every* instruction boundary. Both are monotone in
+//! counters that advance by at most one per boundary — except
+//! intrinsics, whose modeled cost advances them in jumps. The threaded
+//! loop therefore computes `next_check`, the earliest boundary at which
+//! any armed event could fire, checks events only when
+//! `boundary >= next_check`, and forces a recomputation after every
+//! intrinsic (the only non-unit advance). Firing boundaries are bit-exact
+//! with the reference loop, and the register effect itself is the
+//! reference tier's: both call the shared injectors in [`crate::fault`].
+//! Probe replays with [`crate::ExactFault`] run threaded and fire at the
 //! identical boundary.
 //!
 //! Instruction-skip faults ride the same machinery: a skip is an armed
@@ -50,8 +53,7 @@ use crate::fault::{
     InjectionRecord,
 };
 use crate::hooks::RuntimeHooks;
-use crate::machine::{un_op, ExecConfig, RunOutcome, Termination, Trap};
-use crate::pipeline::{OpClass, Pipeline};
+use crate::machine::{un_op, ExecConfig, RunOutcome, Termination, Trap, MAX_CALL_DEPTH};
 
 /// One per-step handler. Executes the step, updates counters/pc, and says
 /// how to continue.
@@ -73,7 +75,6 @@ const F_RET_VALUE: u8 = 2;
 struct TStep {
     run: Handler,
     flags: u8,
-    class: OpClass,
     ty: rskip_ir::Ty,
     uop: rskip_ir::UnOp,
     intr: Intrinsic,
@@ -84,16 +85,13 @@ struct TStep {
     t1: u32,
     t2: u32,
     t3: u32,
-    /// Branch-predictor site of a conditional branch.
-    site: u64,
 }
 
 impl TStep {
-    fn blank(run: Handler, class: OpClass) -> TStep {
+    fn blank(run: Handler) -> TStep {
         TStep {
             run,
             flags: 0,
-            class,
             ty: rskip_ir::Ty::I64,
             uop: rskip_ir::UnOp::Neg,
             intr: Intrinsic::Print,
@@ -104,7 +102,6 @@ impl TStep {
             t1: 0,
             t2: 0,
             t3: 0,
-            site: 0,
         }
     }
 }
@@ -130,7 +127,6 @@ pub(crate) struct TFrame {
     pub(crate) ret_dst: Option<Reg>,
     pub(crate) regs: Vec<Value>,
     pub(crate) written: Vec<bool>,
-    pub(crate) ready: Vec<u64>,
 }
 
 /// Shared execution state threaded through every handler call.
@@ -157,7 +153,6 @@ struct Ctx<'a> {
     /// Suspended caller frames, outermost first.
     stack: Vec<TFrame>,
     counters: Counters,
-    pipeline: Option<Pipeline>,
     prints: Vec<Value>,
     scratch: Vec<Value>,
     region_depth: u32,
@@ -171,7 +166,6 @@ struct Ctx<'a> {
     state_injected: Option<String>,
     termination: Option<Termination>,
     step_limit: u64,
-    max_call_depth: usize,
 }
 
 /// Advances one instruction boundary (the per-step bookkeeping the
@@ -196,59 +190,16 @@ fn ev(gb: &[i64], f: &TFrame, op: Operand) -> Value {
 }
 
 #[inline(always)]
-fn ready1(f: &TFrame, op: Operand) -> u64 {
-    match op {
-        Operand::Reg(r) => f.ready[r.index()],
-        _ => 0,
-    }
-}
-
-/// Untimed register write (the `ready` lane is never read without a
-/// pipeline, so it is not maintained).
-#[inline(always)]
 fn wr(f: &mut TFrame, dst: Reg, v: Value) {
     let i = dst.index();
     f.regs[i] = v;
     f.written[i] = true;
 }
 
-#[inline(always)]
-fn wr_t(f: &mut TFrame, dst: Reg, v: Value, ready: u64) {
-    let i = dst.index();
-    f.regs[i] = v;
-    f.written[i] = true;
-    f.ready[i] = ready;
-}
-
 #[cold]
 fn halt(ctx: &mut Ctx<'_>, trap: Trap) -> Control {
     ctx.termination = Some(Termination::Trapped(trap));
     Control::Halt
-}
-
-/// Issue + write for a one-source instruction.
-#[inline(always)]
-fn write1(ctx: &mut Ctx<'_>, st: &TStep, v: Value) {
-    match ctx.pipeline.as_mut() {
-        None => wr(&mut ctx.frame, st.dst, v),
-        Some(p) => {
-            let done = p.issue(st.class, ready1(&ctx.frame, st.a), None);
-            wr_t(&mut ctx.frame, st.dst, v, done);
-        }
-    }
-}
-
-/// Issue + write for a two-source instruction (`a`, `b`).
-#[inline(always)]
-fn write2(ctx: &mut Ctx<'_>, st: &TStep, v: Value) {
-    match ctx.pipeline.as_mut() {
-        None => wr(&mut ctx.frame, st.dst, v),
-        Some(p) => {
-            let ready = ready1(&ctx.frame, st.a).max(ready1(&ctx.frame, st.b));
-            let done = p.issue(st.class, ready, None);
-            wr_t(&mut ctx.frame, st.dst, v, done);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -258,7 +209,7 @@ fn write2(ctx: &mut Ctx<'_>, st: &TStep, v: Value) {
 fn h_mov(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     tick(ctx);
     let v = ev(ctx.global_base, &ctx.frame, st.a);
-    write1(ctx, st, v);
+    wr(&mut ctx.frame, st.dst, v);
     ctx.frame.pc += 1;
     Control::Cont
 }
@@ -270,7 +221,7 @@ macro_rules! bin_handler_i {
             let $x = ev(ctx.global_base, &ctx.frame, st.a).as_i();
             let $y = ev(ctx.global_base, &ctx.frame, st.b).as_i();
             let v = Value::I($body);
-            write2(ctx, st, v);
+            wr(&mut ctx.frame, st.dst, v);
             ctx.frame.pc += 1;
             Control::Cont
         }
@@ -284,7 +235,7 @@ macro_rules! bin_handler_f {
             let $x = ev(ctx.global_base, &ctx.frame, st.a).as_f();
             let $y = ev(ctx.global_base, &ctx.frame, st.b).as_f();
             let v = Value::F($body);
-            write2(ctx, st, v);
+            wr(&mut ctx.frame, st.dst, v);
             ctx.frame.pc += 1;
             Control::Cont
         }
@@ -316,7 +267,7 @@ fn h_div_i(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     if y == 0 {
         return halt(ctx, Trap::DivByZero);
     }
-    write2(ctx, st, Value::I(x.wrapping_div(y)));
+    wr(&mut ctx.frame, st.dst, Value::I(x.wrapping_div(y)));
     ctx.frame.pc += 1;
     Control::Cont
 }
@@ -328,7 +279,7 @@ fn h_rem_i(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     if y == 0 {
         return halt(ctx, Trap::DivByZero);
     }
-    write2(ctx, st, Value::I(x.wrapping_rem(y)));
+    wr(&mut ctx.frame, st.dst, Value::I(x.wrapping_rem(y)));
     ctx.frame.pc += 1;
     Control::Cont
 }
@@ -340,7 +291,7 @@ macro_rules! cmp_handler {
             let $x = ev(ctx.global_base, &ctx.frame, st.a).$cast();
             let $y = ev(ctx.global_base, &ctx.frame, st.b).$cast();
             let v = Value::I(($body) as i64);
-            write2(ctx, st, v);
+            wr(&mut ctx.frame, st.dst, v);
             ctx.frame.pc += 1;
             Control::Cont
         }
@@ -364,7 +315,7 @@ fn h_un(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     tick(ctx);
     let a = ev(ctx.global_base, &ctx.frame, st.a);
     let v = un_op(st.ty, st.uop, a);
-    write1(ctx, st, v);
+    wr(&mut ctx.frame, st.dst, v);
     ctx.frame.pc += 1;
     Control::Cont
 }
@@ -377,16 +328,7 @@ fn h_select(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     } else {
         ev(ctx.global_base, &ctx.frame, st.c)
     };
-    match ctx.pipeline.as_mut() {
-        None => wr(&mut ctx.frame, st.dst, v),
-        Some(p) => {
-            let ready = ready1(&ctx.frame, st.a)
-                .max(ready1(&ctx.frame, st.b))
-                .max(ready1(&ctx.frame, st.c));
-            let done = p.issue(st.class, ready, None);
-            wr_t(&mut ctx.frame, st.dst, v, done);
-        }
-    }
+    wr(&mut ctx.frame, st.dst, v);
     ctx.frame.pc += 1;
     Control::Cont
 }
@@ -399,13 +341,7 @@ fn h_load(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
         return halt(ctx, Trap::OutOfBounds { addr });
     }
     let v = ctx.mem[addr as usize];
-    match ctx.pipeline.as_mut() {
-        None => wr(&mut ctx.frame, st.dst, v),
-        Some(p) => {
-            let done = p.issue(st.class, ready1(&ctx.frame, st.a), Some(addr));
-            wr_t(&mut ctx.frame, st.dst, v, done);
-        }
-    }
+    wr(&mut ctx.frame, st.dst, v);
     ctx.frame.pc += 1;
     Control::Cont
 }
@@ -415,12 +351,6 @@ fn h_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     ctx.counters.stores += 1;
     let addr = ev(ctx.global_base, &ctx.frame, st.a).as_i();
     let v = ev(ctx.global_base, &ctx.frame, st.b);
-    // The reference loop issues the store into the pipeline before the
-    // bounds check; replicate for timing equality on trapping stores.
-    if let Some(p) = ctx.pipeline.as_mut() {
-        let ready = ready1(&ctx.frame, st.a).max(ready1(&ctx.frame, st.b));
-        p.issue(st.class, ready, Some(addr));
-    }
     if addr < 0 || addr as usize >= ctx.mem.len() {
         return halt(ctx, Trap::OutOfBounds { addr });
     }
@@ -434,27 +364,16 @@ fn h_call(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     ctx.counters.calls += 1;
     // `stack` holds suspended frames only; +1 counts the running frame so
     // the threshold matches the reference interpreter exactly.
-    if ctx.stack.len() + 1 >= ctx.max_call_depth {
+    if ctx.stack.len() + 1 >= MAX_CALL_DEPTH {
         return halt(ctx, Trap::StackOverflow);
     }
     let tfuncs = ctx.tfuncs;
     let args_pool = &tfuncs[ctx.frame.func as usize].args_pool;
     let args = &args_pool[st.t1 as usize..(st.t1 + st.t3) as usize];
     let mut new = acquire(ctx.pool, ctx.dfuncs, st.t2 as usize);
-    let timed = ctx.pipeline.is_some();
     for (i, &a) in args.iter().enumerate() {
         new.regs[i] = ev(ctx.global_base, &ctx.frame, a);
         new.written[i] = true;
-        if timed {
-            new.ready[i] = ready1(&ctx.frame, a);
-        }
-    }
-    if let Some(p) = ctx.pipeline.as_mut() {
-        let mut ready = 0u64;
-        for &a in args {
-            ready = ready.max(ready1(&ctx.frame, a));
-        }
-        p.issue(st.class, ready, None);
     }
     new.ret_dst = (st.flags & F_HAS_DST != 0).then_some(st.dst);
     ctx.frame.pc += 1;
@@ -466,7 +385,7 @@ fn h_call(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 fn h_call_unknown(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     tick(ctx);
     ctx.counters.calls += 1;
-    if ctx.stack.len() + 1 >= ctx.max_call_depth {
+    if ctx.stack.len() + 1 >= MAX_CALL_DEPTH {
         return halt(ctx, Trap::StackOverflow);
     }
     let name = ctx.tfuncs[ctx.frame.func as usize].names[st.t1 as usize].to_string();
@@ -495,16 +414,6 @@ fn h_intrinsic(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     if ctx.region_depth > 0 {
         ctx.counters.region_retired += action.cost;
     }
-    let done = match ctx.pipeline.as_mut() {
-        None => 0,
-        Some(p) => {
-            let mut ready = 0u64;
-            for &a in args {
-                ready = ready.max(ready1(&ctx.frame, a));
-            }
-            p.issue_bulk(1 + action.cost, ready)
-        }
-    };
     // Intrinsic cost is the only non-unit counter advance, and region
     // markers gate region-scoped due-ness: force an event re-check at the
     // next boundary.
@@ -517,10 +426,7 @@ fn h_intrinsic(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     }
     if st.flags & F_HAS_DST != 0 {
         if let Some(v) = action.value {
-            match ctx.pipeline.is_some() {
-                false => wr(&mut ctx.frame, st.dst, v),
-                true => wr_t(&mut ctx.frame, st.dst, v, done),
-            }
+            wr(&mut ctx.frame, st.dst, v);
         }
     }
     ctx.frame.pc += 1;
@@ -537,9 +443,6 @@ fn h_condbr(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     tick(ctx);
     let taken = ev(ctx.global_base, &ctx.frame, st.a).as_i() != 0;
     ctx.counters.branches += 1;
-    if let Some(p) = ctx.pipeline.as_mut() {
-        p.branch(st.site, taken, ready1(&ctx.frame, st.a));
-    }
     ctx.frame.pc = if taken { st.t1 } else { st.t2 };
     Control::Cont
 }
@@ -547,12 +450,6 @@ fn h_condbr(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 fn h_ret(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     tick(ctx);
     let value = (st.flags & F_RET_VALUE != 0).then(|| ev(ctx.global_base, &ctx.frame, st.a));
-    let timed = ctx.pipeline.is_some();
-    let ready = if timed && st.flags & F_RET_VALUE != 0 {
-        ready1(&ctx.frame, st.a)
-    } else {
-        0
-    };
     let ret_dst = ctx.frame.ret_dst;
     match ctx.stack.pop() {
         None => {
@@ -564,10 +461,7 @@ fn h_ret(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
             ctx.pool.push(done);
             ctx.code = &ctx.tfuncs[ctx.frame.func as usize].code;
             if let (Some(dst), Some(val)) = (ret_dst, value) {
-                match timed {
-                    false => wr(&mut ctx.frame, dst, val),
-                    true => wr_t(&mut ctx.frame, dst, val, ready),
-                }
+                wr(&mut ctx.frame, dst, val);
             }
             Control::Cont
         }
@@ -580,14 +474,10 @@ fn h_ret(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 
 /// Builds the direct-threaded form of a decoded module.
 pub(crate) fn build(dfuncs: &[DFunc]) -> Box<[TFunc]> {
-    dfuncs
-        .iter()
-        .enumerate()
-        .map(|(fi, df)| build_func(fi as u32, df))
-        .collect()
+    dfuncs.iter().map(build_func).collect()
 }
 
-fn build_func(func: u32, df: &DFunc) -> TFunc {
+fn build_func(df: &DFunc) -> TFunc {
     // Pass 1: block entry pcs.
     let mut block_entry = Vec::with_capacity(df.blocks.len());
     let mut pc = 0u32;
@@ -603,10 +493,10 @@ fn build_func(func: u32, df: &DFunc) -> TFunc {
     let mut loc: Vec<(u32, u32)> = Vec::with_capacity(pc as usize);
     for (bi, b) in df.blocks.iter().enumerate() {
         for (ip, ds) in b.insts.iter().enumerate() {
-            code.push(lower_inst(ds, &mut args_pool, &mut names));
+            code.push(lower_inst(&ds.op, &mut args_pool, &mut names));
             loc.push((bi as u32, ip as u32));
         }
-        code.push(lower_term(&b.term, func, bi as u32, &block_entry));
+        code.push(lower_term(&b.term, &block_entry));
         loc.push((bi as u32, b.insts.len() as u32));
     }
 
@@ -618,15 +508,11 @@ fn build_func(func: u32, df: &DFunc) -> TFunc {
     }
 }
 
-fn lower_inst(
-    ds: &crate::decoded::DStep,
-    args_pool: &mut Vec<Operand>,
-    names: &mut Vec<Box<str>>,
-) -> TStep {
+fn lower_inst(inst: &DInst, args_pool: &mut Vec<Operand>, names: &mut Vec<Box<str>>) -> TStep {
     use rskip_ir::{BinOp, CmpOp, Ty};
-    match &ds.op {
+    match inst {
         DInst::Mov { dst, src } => {
-            let mut st = TStep::blank(h_mov, ds.class);
+            let mut st = TStep::blank(h_mov);
             st.dst = *dst;
             st.a = *src;
             st
@@ -660,14 +546,14 @@ fn lower_inst(
                 (Ty::F64, BinOp::Max) => h_max_f,
                 (Ty::F64, _) => unreachable!("verifier rejects bitwise float ops"),
             };
-            let mut st = TStep::blank(run, ds.class);
+            let mut st = TStep::blank(run);
             st.dst = *dst;
             st.a = *lhs;
             st.b = *rhs;
             st
         }
         DInst::Un { ty, op, dst, src } => {
-            let mut st = TStep::blank(h_un, ds.class);
+            let mut st = TStep::blank(h_un);
             st.ty = *ty;
             st.uop = *op;
             st.dst = *dst;
@@ -695,7 +581,7 @@ fn lower_inst(
                 (Ty::F64, CmpOp::Gt) => h_gt_f,
                 (Ty::F64, CmpOp::Ge) => h_ge_f,
             };
-            let mut st = TStep::blank(run, ds.class);
+            let mut st = TStep::blank(run);
             st.dst = *dst;
             st.a = *lhs;
             st.b = *rhs;
@@ -707,7 +593,7 @@ fn lower_inst(
             on_true,
             on_false,
         } => {
-            let mut st = TStep::blank(h_select, ds.class);
+            let mut st = TStep::blank(h_select);
             st.dst = *dst;
             st.a = *cond;
             st.b = *on_true;
@@ -715,19 +601,19 @@ fn lower_inst(
             st
         }
         DInst::Load { dst, addr } => {
-            let mut st = TStep::blank(h_load, ds.class);
+            let mut st = TStep::blank(h_load);
             st.dst = *dst;
             st.a = *addr;
             st
         }
         DInst::Store { addr, value } => {
-            let mut st = TStep::blank(h_store, ds.class);
+            let mut st = TStep::blank(h_store);
             st.a = *addr;
             st.b = *value;
             st
         }
         DInst::Call { dst, target, args } => {
-            let mut st = TStep::blank(h_call, ds.class);
+            let mut st = TStep::blank(h_call);
             st.t1 = args_pool.len() as u32;
             st.t2 = *target;
             st.t3 = args.len() as u32;
@@ -739,13 +625,13 @@ fn lower_inst(
             st
         }
         DInst::CallUnknown { name } => {
-            let mut st = TStep::blank(h_call_unknown, ds.class);
+            let mut st = TStep::blank(h_call_unknown);
             st.t1 = names.len() as u32;
             names.push(name.clone());
             st
         }
         DInst::IntrinsicCall { dst, intr, args } => {
-            let mut st = TStep::blank(h_intrinsic, ds.class);
+            let mut st = TStep::blank(h_intrinsic);
             st.intr = *intr;
             st.t1 = args_pool.len() as u32;
             st.t3 = args.len() as u32;
@@ -759,13 +645,10 @@ fn lower_inst(
     }
 }
 
-fn lower_term(term: &DTerm, func: u32, block: u32, block_entry: &[u32]) -> TStep {
-    // Terminators are classified as branches by the timing model, like
-    // the reference loop's terminator arm (which issues nothing for Br
-    // and Ret, and only `branch()`es for CondBr).
+fn lower_term(term: &DTerm, block_entry: &[u32]) -> TStep {
     match term {
         DTerm::Br(t) => {
-            let mut st = TStep::blank(h_br, OpClass::Alu);
+            let mut st = TStep::blank(h_br);
             st.t1 = block_entry[*t as usize];
             st
         }
@@ -774,15 +657,14 @@ fn lower_term(term: &DTerm, func: u32, block: u32, block_entry: &[u32]) -> TStep
             on_true,
             on_false,
         } => {
-            let mut st = TStep::blank(h_condbr, OpClass::Alu);
+            let mut st = TStep::blank(h_condbr);
             st.a = *cond;
             st.t1 = block_entry[*on_true as usize];
             st.t2 = block_entry[*on_false as usize];
-            st.site = (u64::from(func) << 32) | u64::from(block);
             st
         }
         DTerm::Ret(v) => {
-            let mut st = TStep::blank(h_ret, OpClass::Alu);
+            let mut st = TStep::blank(h_ret);
             if let Some(op) = v {
                 st.flags |= F_RET_VALUE;
                 st.a = *op;
@@ -808,14 +690,12 @@ fn acquire(pool: &mut Vec<TFrame>, dfuncs: &[DFunc], func: usize) -> TFrame {
     fr.regs.extend_from_slice(init);
     fr.written.clear();
     fr.written.resize(n, false);
-    fr.ready.clear();
-    fr.ready.resize(n, 0);
     fr
 }
 
-/// Runs `entry` to completion on the threaded tier. Semantics are
-/// byte-identical to [`crate::machine`]'s reference loop (see the module
-/// docs for the exactness argument).
+/// Runs `entry` to completion, untimed, on the threaded tier. Semantics
+/// are byte-identical to [`crate::machine`]'s reference loop (see the
+/// module docs for the exactness argument).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_threaded(
     prog: &Decoded<'_>,
@@ -827,6 +707,10 @@ pub(crate) fn exec_threaded(
     entry: usize,
     args: &[Value],
 ) -> RunOutcome {
+    debug_assert!(
+        config.timing.is_none(),
+        "timed runs take the reference loop"
+    );
     let unit = &*prog.unit;
     let mut frame = acquire(pool, &unit.funcs, entry);
     for (i, &a) in args.iter().enumerate() {
@@ -846,7 +730,6 @@ pub(crate) fn exec_threaded(
         frame,
         stack: Vec::with_capacity(16),
         counters: Counters::default(),
-        pipeline: config.timing.map(Pipeline::new),
         prints: Vec::new(),
         scratch: Vec::new(),
         region_depth: 0,
@@ -859,7 +742,6 @@ pub(crate) fn exec_threaded(
         state_injected: None,
         termination: None,
         step_limit: config.step_limit,
-        max_call_depth: config.max_call_depth,
     };
 
     let termination = loop {
@@ -881,8 +763,7 @@ pub(crate) fn exec_threaded(
         pool,
         frame,
         mut stack,
-        mut counters,
-        pipeline,
+        counters,
         prints,
         injected,
         state_injected,
@@ -890,11 +771,6 @@ pub(crate) fn exec_threaded(
     } = ctx;
     pool.push(frame);
     pool.append(&mut stack);
-
-    if let Some(p) = &pipeline {
-        counters.cycles = p.cycles();
-        counters.mispredicts = p.mispredicts();
-    }
     RunOutcome {
         termination,
         counters,
@@ -962,11 +838,7 @@ fn next_check(ctx: &Ctx<'_>) -> u64 {
     if let Some(armed) = &ctx.injection {
         let f = match armed {
             ArmedFault::Random(plan) => {
-                if plan.anywhere {
-                    // `.max(1)`: a due skip held over an intrinsic stays
-                    // armed past its trigger — retry at the next boundary.
-                    (plan.trigger.saturating_sub(ctx.counters.retired)).max(1)
-                } else if ctx.counters.region_retired >= plan.trigger {
+                if ctx.counters.region_retired >= plan.trigger {
                     // Due-ness now only awaits a RegionEnter, which is an
                     // intrinsic and forces its own re-check.
                     u64::MAX
@@ -974,8 +846,8 @@ fn next_check(ctx: &Ctx<'_>) -> u64 {
                     plan.trigger - ctx.counters.region_retired
                 }
             }
-            // `.max(1)` as above: an exact skip held over an intrinsic is
-            // already past `at` and retries at the next boundary.
+            // `.max(1)`: an exact skip held over an intrinsic is already
+            // past `at` and retries at the next boundary.
             ArmedFault::Exact(fault) => (fault.at.saturating_sub(ctx.boundary)).max(1),
             ArmedFault::RuntimeState { trigger, .. } => {
                 if ctx.counters.region_retired >= *trigger {

@@ -268,7 +268,6 @@ pub fn run_recovery(options: &EvalOptions, runs: u32) -> Vec<RecoveryPoint> {
             let plan = InjectionPlan {
                 trigger: rng.gen_range(0..clean_region),
                 seed: rng.gen(),
-                anywhere: false,
                 model: FaultModel::SingleBitSeu,
             };
             let mut machine = Machine::with_config(&p.module, NoopHooks, config.clone());

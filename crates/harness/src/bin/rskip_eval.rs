@@ -305,6 +305,18 @@ fn store_or_default(args: &Args) -> Store {
     )
 }
 
+/// Prints `value` as pretty JSON on stdout; a serialization failure
+/// exits with code 2.
+fn print_json(value: &impl serde::Serialize) {
+    match serde_json::to_string_pretty(value) {
+        Ok(s) => println!("{s}"),
+        Err(e) => {
+            eprintln!("serialization failed: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn save_json(out: &Option<PathBuf>, name: &str, value: &impl serde::Serialize) {
     let Some(dir) = out else { return };
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -378,13 +390,7 @@ fn main() {
                         })
                         .collect(),
                 };
-                match serde_json::to_string_pretty(&json) {
-                    Ok(s) => println!("{s}"),
-                    Err(e) => {
-                        eprintln!("serialization failed: {e}");
-                        std::process::exit(2);
-                    }
-                }
+                print_json(&json);
             } else if reports.is_empty() {
                 println!("{}: no artifacts", store.dir().display());
             } else {
@@ -408,13 +414,7 @@ fn main() {
         "lint" => {
             let report = rskip_harness::lint::run(args.size);
             if args.json {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(json) => println!("{json}"),
-                    Err(e) => {
-                        eprintln!("serialization failed: {e}");
-                        std::process::exit(2);
-                    }
-                }
+                print_json(&report);
             } else {
                 print!("{}", report.render());
             }
@@ -487,13 +487,7 @@ fn main() {
             let report =
                 rskip_harness::service::serve_bench(options, &spec, args.jobs, &worker_counts);
             if args.json {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(s) => println!("{s}"),
-                    Err(e) => {
-                        eprintln!("serialization failed: {e}");
-                        std::process::exit(2);
-                    }
-                }
+                print_json(&report);
             } else {
                 print!("{}", report.render());
             }
@@ -567,13 +561,7 @@ fn main() {
             let ar = rskip_harness::ArSetting { percent: 20 };
             let report = rskip_harness::throughput::measure(&setups, ar, args.runs, 0xC0FF_EE00, 5);
             if args.json {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(s) => println!("{s}"),
-                    Err(e) => {
-                        eprintln!("serialization failed: {e}");
-                        std::process::exit(2);
-                    }
-                }
+                print_json(&report);
             } else {
                 print!("{}", report.render());
             }
@@ -613,13 +601,7 @@ fn main() {
             };
             let report = rskip_harness::vuln::run_with(&engine, benches, &models, &opts);
             if args.json {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(s) => println!("{s}"),
-                    Err(e) => {
-                        eprintln!("serialization failed: {e}");
-                        std::process::exit(2);
-                    }
-                }
+                print_json(&report);
             } else {
                 print!("{}", report.render());
             }
@@ -645,13 +627,7 @@ fn main() {
                 &models,
             );
             if args.json {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(s) => println!("{s}"),
-                    Err(e) => {
-                        eprintln!("serialization failed: {e}");
-                        std::process::exit(2);
-                    }
-                }
+                print_json(&report);
             } else {
                 print!("{}", report.render());
             }

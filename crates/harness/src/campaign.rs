@@ -199,7 +199,6 @@ impl<'m> Campaign<'m> {
         InjectionPlan {
             trigger: rng.gen_range(0..self.region_budget),
             seed: rng.gen(),
-            anywhere: false,
             model: self.model,
         }
     }

@@ -384,7 +384,6 @@ mod tests {
                 machine.set_injection(InjectionPlan {
                     trigger,
                     seed,
-                    anywhere: false,
                     model: FaultModel::SingleBitSeu,
                 });
                 let out = machine.run("main", &[]);

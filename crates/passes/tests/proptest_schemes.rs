@@ -247,7 +247,6 @@ proptest! {
         machine.set_injection(rskip_exec::InjectionPlan {
             trigger,
             seed,
-            anywhere: false,
             model: rskip_exec::FaultModel::SingleBitSeu,
         });
         let out = machine.run("main", &[]);

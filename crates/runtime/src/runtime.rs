@@ -1,6 +1,6 @@
 //! The intrinsic handler wiring region state to the execution substrate.
 
-use rskip_core::{ProtectionPlan, RegionPlan, SupervisorPolicy};
+use rskip_core::{RegionPlan, SupervisorPolicy};
 use rskip_exec::{IntrinsicAction, RuntimeHooks};
 use rskip_ir::{Intrinsic, Value};
 use rskip_predict::DiConfig;
@@ -66,9 +66,7 @@ pub struct RuntimeConfig {
     pub enable_memo: bool,
     /// Install a per-region runtime supervisor (online health monitor
     /// and circuit breaker). `None` reproduces the historical
-    /// always-predict behavior. When constructing from a
-    /// [`ProtectionPlan`], `None` here falls back to the plan's own
-    /// deployed policy.
+    /// always-predict behavior.
     pub supervisor: Option<SupervisorPolicy>,
     /// Harden the runtime's own metadata: shadow-voted DI phase
     /// registers, cross-checked memo lookups, checksummed pending
@@ -102,8 +100,9 @@ impl RuntimeConfig {
 
 /// Region metadata the runtime needs. This is the shared
 /// [`RegionPlan`] from `rskip-core` — the pass driver produces it (as
-/// part of a [`ProtectionPlan`]) and the runtime consumes it, so the two
-/// layers agree on one type instead of mirroring each other's structs.
+/// part of a [`ProtectionPlan`](rskip_core::ProtectionPlan)) and the
+/// runtime consumes it, so the two layers agree on one type instead of
+/// mirroring each other's structs.
 pub type RegionInit = RegionPlan;
 
 /// The RSkip prediction runtime: implements the `rskip.*` intrinsics over
@@ -170,20 +169,6 @@ impl PredictionRuntime {
             config,
             state_fault_target: None,
         }
-    }
-
-    /// An explicit `supervisor` in the deployment config wins; otherwise
-    /// the plan's deployed policy applies.
-    fn merge_plan_policy(plan: &ProtectionPlan, mut config: RuntimeConfig) -> RuntimeConfig {
-        if config.supervisor.is_none() {
-            config.supervisor = plan.supervisor;
-        }
-        config
-    }
-
-    /// Creates an untrained runtime from a whole [`ProtectionPlan`].
-    pub fn from_plan(plan: &ProtectionPlan, config: RuntimeConfig) -> Self {
-        Self::new(&plan.regions, Self::merge_plan_policy(plan, config))
     }
 
     /// Creates a runtime and installs a trained model (QoS tables and

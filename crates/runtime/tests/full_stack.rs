@@ -249,7 +249,6 @@ fn injected_fault_in_pp_region_is_detected_or_tolerable() {
         machine.set_injection(InjectionPlan {
             trigger: 200 + seed * 137,
             seed,
-            anywhere: false,
             model: FaultModel::SingleBitSeu,
         });
         let out = machine.run("main", &[]);

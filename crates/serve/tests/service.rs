@@ -656,6 +656,100 @@ fn eof_suspends_progress_and_resilient_resubmit_resumes_it() {
     server.shutdown();
 }
 
+/// A resubmission that would resume parked progress but finds the queue
+/// full must put that progress back: a later resubmission still runs
+/// only the missing trials.
+#[test]
+fn queue_full_resubmission_keeps_parked_progress() {
+    let (started_tx, started_rx) = channel();
+    let (release_tx, release_rx) = channel();
+    let runner = Arc::new(GateRecordingRunner {
+        started: Mutex::new(started_tx),
+        release: Mutex::new(release_rx),
+        ranges: Mutex::new(Vec::new()),
+    });
+    let config = ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&runner), config).expect("bind loopback");
+    let wait_started = || {
+        started_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker entered a chunk");
+    };
+    let job_spec = spec(4, 2);
+
+    // Park the job after its first chunk: the client vanishes mid-chunk.
+    {
+        let mut client = Client::connect(server.addr()).expect("connect");
+        client.submit_accepted(&job_spec).expect("accept");
+        wait_started();
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    release_tx.send(()).unwrap();
+    assert!(
+        started_rx.recv_timeout(Duration::from_millis(300)).is_err(),
+        "a suspended job must not start another chunk"
+    );
+
+    // Fill the server: A occupies the one worker, B the one queue slot.
+    // Distinct trial counts keep their content keys apart.
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let job_a = client.submit_accepted(&spec(1, 1)).expect("accept A");
+    wait_started();
+    let job_b = client.submit_accepted(&spec(3, 3)).expect("accept B");
+
+    // The resubmission that would resume the parked job is refused.
+    match client.submit(&job_spec).expect("frame") {
+        Response::Rejected { error, .. } => assert_eq!(error, ErrorKind::QueueFull),
+        other => panic!("expected QueueFull, got {other:?}"),
+    }
+
+    release_tx.send(()).unwrap();
+    assert_eq!(
+        client.stream_job(job_a, |_| {}).expect("A").done.executed,
+        1
+    );
+    wait_started();
+    release_tx.send(()).unwrap();
+    assert_eq!(
+        client.stream_job(job_b, |_| {}).expect("B").done.executed,
+        3
+    );
+
+    // A later resubmission still finds the parked progress. Release two
+    // chunks up front: a resume needs one, and a rerun from trial 0
+    // (progress lost) then fails the range check below instead of
+    // blocking on the gate.
+    release_tx.send(()).unwrap();
+    release_tx.send(()).unwrap();
+    let job = client.submit_accepted(&job_spec).expect("accept resume");
+    let mut executed = Vec::new();
+    let done = client
+        .stream_job(job, |p| executed.push(p.executed))
+        .expect("resumed job finishes");
+    assert!(
+        !done.done.cached,
+        "the resumed run actually executed trials"
+    );
+    assert_eq!(done.done.executed, 4);
+    assert!(
+        executed.iter().all(|&e| e > 2),
+        "resume must not re-stream finished trials: {executed:?}"
+    );
+    assert_eq!(
+        *runner.ranges.lock().unwrap(),
+        vec![0..2, 0..1, 0..3, 2..4],
+        "the resumed job runs only its missing trials"
+    );
+    let one_shot = synthetic_chunk(&job_spec, 0..4);
+    assert_eq!(encode(&done.done.stats), encode(&one_shot.stats));
+
+    server.shutdown();
+}
+
 #[test]
 fn drain_shutdown_journals_clean_completion() {
     let dir = temp_state_dir("drain");

@@ -50,7 +50,6 @@ fn main() {
             let plan = InjectionPlan {
                 trigger: rng.gen_range(0..clean.region_retired),
                 seed: rng.gen(),
-                anywhere: false,
                 model: FaultModel::SingleBitSeu,
             };
             let rt = PredictionRuntime::new(&inits, RuntimeConfig::with_ar(0.2));

@@ -143,7 +143,6 @@ fn injection_is_deterministic_given_the_seed() {
         machine.set_injection(InjectionPlan {
             trigger: 123,
             seed: 456,
-            anywhere: false,
             model: FaultModel::SingleBitSeu,
         });
         let out = machine.run("main", &[]);
