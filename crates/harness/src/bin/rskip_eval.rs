@@ -26,7 +26,6 @@
 //!                   [--tenant NAME] [--stop-half-width F] [--stop-metric sdc|correct]
 //!                   [--cancel-after N] [--expect-narrowing] [--outcomes] [--shutdown] [--json]
 //!                   [--retry N]
-//! rskip-eval serve-bench [--size ...] [--bench NAME] [--runs N] [--jobs N] [--chunk N] [--workers N] [--json]
 //! ```
 //!
 //! With `--out DIR`, raw results are also written as JSON.
@@ -96,10 +95,9 @@
 //! cancels the job after N progress frames; `--expect-narrowing` makes
 //! the client verify that executed counts increase strictly and the
 //! streamed SDC interval narrows (exit 1 on violation); `--shutdown`
-//! just asks the server to drain and exit. `serve-bench` measures
-//! service throughput at 1 vs `--workers` workers and prints jobs/sec
-//! with per-chunk latency, plus cold-vs-cached submit latency and the
-//! journal-replay cost a restart pays.
+//! just asks the server to drain and exit. The service's throughput,
+//! latency and journal-replay numbers come from perfbench's
+//! `serve-mixed` workload (`perfbench/README.md`).
 //!
 //! The model-store commands persist the offline training phase:
 //! `train` profiles and trains every benchmark and saves the artifacts;
@@ -139,7 +137,6 @@ struct Args {
     expect_narrowing: bool,
     outcomes: bool,
     shutdown: bool,
-    jobs: u32,
     incremental: bool,
     oracle_limit: u64,
     state_dir: Option<PathBuf>,
@@ -183,7 +180,6 @@ fn parse_args() -> Result<Args, String> {
         expect_narrowing: false,
         outcomes: false,
         shutdown: false,
-        jobs: 4,
         incremental: false,
         oracle_limit: 4096,
         state_dir: None,
@@ -237,9 +233,6 @@ fn parse_args() -> Result<Args, String> {
             "--chunk" => {
                 parsed.chunk = value()?.parse().map_err(|e| format!("bad --chunk: {e}"))?;
             }
-            "--jobs" => {
-                parsed.jobs = value()?.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-            }
             "--tenant" => parsed.tenant = value()?,
             "--scheme" => parsed.scheme = value()?,
             "--stop-half-width" => {
@@ -284,11 +277,11 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() -> String {
     "usage: rskip-eval <table1|fig2|fig7|fig8a|fig8b|fig9|tradeoff|cost-ratio|ablations|all\
-     |supervise|lint|train|inspect|verify|bench|campaign|vuln|serve|submit|serve-bench> \
+     |supervise|lint|train|inspect|verify|bench|campaign|vuln|serve|submit> \
      [--size tiny|small|full] [--runs N] [--inputs N] [--out DIR] [--store DIR] [--json] \
      [--tier match|threaded] [--bench NAME] \
      [--fault-model seu|skip|burst:N[,...]] \
-     [--addr HOST:PORT] [--workers N] [--queue N] [--chunk N] [--jobs N] [--tenant NAME] \
+     [--addr HOST:PORT] [--workers N] [--queue N] [--chunk N] [--tenant NAME] \
      [--scheme unsafe|swift-r|arN|arN-di] [--stop-half-width F] [--stop-metric sdc|correct] \
      [--cancel-after N] [--expect-narrowing] [--outcomes] [--shutdown] \
      [--incremental] [--oracle-limit N] [--state-dir DIR] [--retry N]"
@@ -473,26 +466,6 @@ fn main() {
         }
         "submit" => {
             std::process::exit(run_submit(&args));
-        }
-        "serve-bench" => {
-            let model = args
-                .fault_models
-                .first()
-                .copied()
-                .unwrap_or(rskip_exec::FaultModel::SingleBitSeu);
-            let worker_counts = [1, args.workers.max(2)];
-            let mut spec =
-                rskip_serve::JobSpec::new(&args.bench, &args.scheme, &model.label(), args.runs);
-            spec.chunk = if args.chunk == 0 { 20 } else { args.chunk };
-            let report =
-                rskip_harness::service::serve_bench(options, &spec, args.jobs, &worker_counts);
-            if args.json {
-                print_json(&report);
-            } else {
-                print!("{}", report.render());
-            }
-            save_json(&args.out, "BENCH_serve", &report);
-            return;
         }
         _ => {}
     }

@@ -113,6 +113,9 @@ impl Client {
     /// Connection failure, or a first frame that is not a `Hello`.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // One small request per reply awaited: send it now, not after
+        // the server's delayed ACK.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let mut client = Client {
             reader: BufReader::new(stream),
@@ -160,22 +163,21 @@ impl Client {
     ///
     /// Socket write failure.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        let mut line = encode(request);
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()
+        self.send_raw(&encode(request))
     }
 
-    /// Sends one raw line verbatim (plus newline) — for exercising the
-    /// server's malformed-frame path from tests and smoke checks.
+    /// Sends one raw line verbatim (plus newline) in one write — for
+    /// exercising the server's malformed-frame path from tests and
+    /// smoke checks.
     ///
     /// # Errors
     ///
     /// Socket write failure.
     pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes())
     }
 
     /// Receives one response frame (blocking).

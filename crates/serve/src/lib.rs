@@ -55,4 +55,7 @@ pub use protocol::{
 };
 pub use queue::{JobQueue, PushError};
 pub use runner::{CampaignRunner, ChunkOutput};
-pub use server::{backoff_hint_ms, job_key, RecoveryReport, Server, ServerConfig, BACKOFF_CAP_MS};
+pub use server::{
+    backoff_hint_ms, job_key, RecoveryReport, Server, ServerConfig, BACKOFF_CAP_MS,
+    RESULT_CACHE_CAP,
+};

@@ -26,20 +26,22 @@
 //! identity, spec, per-chunk progress and terminal outcome is fsynced
 //! to a per-tenant [`JobJournal`] before the next chunk runs, and a
 //! restarted server replays the journals: finished jobs seed the
-//! result cache, unfinished ones re-enter the queue at their next
-//! chunk boundary. Because each trial is a pure function of `(campaign
-//! seed, trial index)` and the aggregate is a commutative monoid, the
-//! resumed job's final aggregate is byte-identical to an uninterrupted
-//! run — `SIGKILL` at any chunk boundary included (the crash-injection
-//! hook `RSKIP_SERVE_CRASH_AFTER_CHUNKS=N`, which aborts the process
-//! after the N-th journaled chunk, exists to prove exactly that).
+//! result cache (the newest [`RESULT_CACHE_CAP`] of them), unfinished
+//! ones re-enter the queue at their next chunk boundary. Because each
+//! trial is a pure function of `(campaign seed, trial index)` and the
+//! aggregate is a commutative monoid, the resumed job's final
+//! aggregate is byte-identical to an uninterrupted run — `SIGKILL` at
+//! any chunk boundary included (the crash-injection hook
+//! `RSKIP_SERVE_CRASH_AFTER_CHUNKS=N`, which aborts the process after
+//! the N-th journaled chunk, exists to prove exactly that).
 //!
 //! **Job identity.** Every non-`want_outcomes` job gets a content-hash
 //! key ([`job_key`]) over the runner's fingerprint (bench module
 //! content) and the result-relevant spec fields. The key drives three
 //! behaviors: completed results are cached (a resubmission streams a
-//! `Done` with `cached: true` and executes zero trials), identical
-//! in-flight submissions are refused with
+//! `Done` with `cached: true` and executes zero trials; the cache keeps
+//! the [`RESULT_CACHE_CAP`] newest results, and an evicted key simply
+//! re-executes), identical in-flight submissions are refused with
 //! [`ErrorKind::DuplicateInFlight`] + a retry hint (so a reconnecting
 //! client never double-runs a campaign), and a job whose connection
 //! died mid-run parks its progress under the key — the retried
@@ -53,7 +55,7 @@
 //! retry. Cancellation and suspension are both chunk-atomic: flags are
 //! checked between chunks, never mid-chunk.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -108,10 +110,11 @@ impl Default for ServerConfig {
 pub struct RecoveryReport {
     /// Unfinished jobs re-enqueued at their next chunk boundary.
     pub jobs_resumed: usize,
-    /// Completed results restored into the cache.
+    /// Completed results restored into the cache: the newest
+    /// [`RESULT_CACHE_CAP`] by job id, however many the journals hold.
     pub results_cached: usize,
-    /// Wall nanoseconds spent replaying journals (the resume
-    /// overhead — what `serve-bench` reports).
+    /// Wall nanoseconds spent replaying journals (the resume overhead;
+    /// perfbench serve-mixed reports it as `store.replay_ms`).
     pub replay_nanos: u64,
     /// Torn-tail bytes truncated (crash-mid-append residue).
     pub truncated_bytes: u64,
@@ -121,6 +124,11 @@ pub struct RecoveryReport {
 
 /// Ceiling for the queue-full backoff hint, before jitter.
 pub const BACKOFF_CAP_MS: u64 = 2_000;
+
+/// Completed results the server keeps for cache answers. Past it the
+/// oldest result is evicted first; a resubmission of an evicted key
+/// re-executes (same aggregate, `cached: false`) rather than failing.
+pub const RESULT_CACHE_CAP: usize = 256;
 
 /// Longest request line a connection buffers, far above any real frame
 /// (a `JobSpec` encodes to a few hundred bytes). A client that streams
@@ -217,8 +225,8 @@ impl QueuedJob {
 struct ServiceState {
     config: ServerConfig,
     next_id: AtomicU64,
-    /// Completed results by job key.
-    cache: Mutex<HashMap<u64, DoneFrame>>,
+    /// Completed results by job key, bounded.
+    cache: Mutex<ResultCache>,
     /// Key → job id for every queued or running keyed job.
     inflight: Mutex<HashMap<u64, u64>>,
     /// Progress parked by client EOF, waiting for a resubmission.
@@ -241,6 +249,31 @@ struct SuspendedJob {
     chunk: u32,
     executed: u32,
     stats: CampaignStats,
+}
+
+/// Completed results by job key, holding at most [`RESULT_CACHE_CAP`]
+/// and evicting in insertion order. Oldest-first matters: a client that
+/// repeats its latest job must still find it, which evicting an
+/// arbitrary map key does not guarantee.
+#[derive(Default)]
+struct ResultCache {
+    results: HashMap<u64, DoneFrame>,
+    /// Keys of `results`, oldest insertion first.
+    order: VecDeque<u64>,
+}
+
+impl ResultCache {
+    fn insert(&mut self, key: u64, done: DoneFrame) {
+        if self.results.insert(key, done).is_some() {
+            return;
+        }
+        self.order.push_back(key);
+        if self.order.len() > RESULT_CACHE_CAP {
+            if let Some(oldest) = self.order.pop_front() {
+                self.results.remove(&oldest);
+            }
+        }
+    }
 }
 
 impl ServiceState {
@@ -323,7 +356,7 @@ impl Server {
 
         let replay_started = Instant::now();
         let mut recovery = RecoveryReport::default();
-        let mut cache = HashMap::new();
+        let mut cache = ResultCache::default();
         let mut inflight = HashMap::new();
         let mut next_id = 1u64;
         let mut journal = None;
@@ -333,10 +366,16 @@ impl Server {
                 .map_err(|e| io::Error::other(format!("state dir {dir:?}: {e:?}")))?;
             journal = Some(Mutex::new(jobj));
             next_id = rec.next_job_id;
-            recovery.results_cached = rec.completed.len();
             recovery.truncated_bytes = rec.truncated_bytes;
             recovery.skipped_records = rec.skipped_records;
-            cache.extend(rec.completed);
+            // Seed in completion order, so the cache keeps the newest
+            // results, as it would have had the server never stopped.
+            let mut completed: Vec<(u64, DoneFrame)> = rec.completed.into_iter().collect();
+            completed.sort_unstable_by_key(|(_, done)| done.job);
+            for (key, done) in completed {
+                cache.insert(key, done);
+            }
+            recovery.results_cached = cache.results.len();
             resumable = rec.resumable;
         }
 
@@ -471,12 +510,18 @@ fn accept_loop<R: CampaignRunner>(
 /// Serializes every outbound frame for one connection. Sole owner of
 /// the write half; exits when all `Sender` clones (reader + workers on
 /// this connection's jobs) are gone, or on the first write error
-/// (client vanished — frames drain into the void harmlessly).
+/// (client vanished — frames drain into the void harmlessly). Each
+/// wake-up sends every frame already queued in one write, so a burst of
+/// frames costs one segment rather than one per frame.
 fn writer_loop(mut stream: TcpStream, frames: &Receiver<Response>) {
+    let mut lines = String::new();
     while let Ok(frame) = frames.recv() {
-        let mut line = encode(&frame);
-        line.push('\n');
-        if stream.write_all(line.as_bytes()).is_err() || stream.flush().is_err() {
+        lines.clear();
+        for frame in std::iter::once(frame).chain(frames.try_iter()) {
+            lines.push_str(&encode(&frame));
+            lines.push('\n');
+        }
+        if stream.write_all(lines.as_bytes()).is_err() {
             return;
         }
     }
@@ -490,6 +535,9 @@ fn handle_connection<R: CampaignRunner>(
     state: &Arc<ServiceState>,
     addr: Option<SocketAddr>,
 ) {
+    // Frames are small and each one is awaited: without this, Nagle
+    // holds a frame until the client's delayed ACK (40 ms on Linux).
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -662,7 +710,7 @@ fn admit<R: CampaignRunner>(
         // Result cache: answer without executing a trial. The frame
         // gets a fresh job id so the client's bookkeeping stays per-
         // submission, and honest accounting: `cached: true`.
-        let hit = state.cache.lock().unwrap().get(&k).cloned();
+        let hit = state.cache.lock().unwrap().results.get(&k).cloned();
         if let Some(mut done) = hit {
             let id = state.next_id.fetch_add(1, Ordering::SeqCst);
             done.job = id;

@@ -12,12 +12,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rskip_core::stats::{CampaignStats, EarlyStop, OutcomeClass, StopMetric, TrialOutcome};
 use rskip_serve::{
-    decode, encode, CampaignRunner, ChunkOutput, Client, ErrorKind, JobJournal, JobSpec, Request,
-    Response, RetryPolicy, Server, ServerConfig,
+    decode, encode, CampaignRunner, ChunkOutput, Client, ErrorKind, JobJournal, JobOutcome,
+    JobSpec, Request, Response, RetryPolicy, Server, ServerConfig, RESULT_CACHE_CAP,
 };
 
 fn temp_state_dir(tag: &str) -> PathBuf {
@@ -912,4 +912,108 @@ fn endless_request_line_is_refused_and_the_server_keeps_serving() {
     assert_eq!(outcome.done.executed, 50);
 
     server.shutdown();
+}
+
+/// Submits `job_spec` on `client` and streams it to `Done`.
+fn run_job(client: &mut Client, job_spec: &JobSpec) -> JobOutcome {
+    let job = client.submit_accepted(job_spec).expect("accept");
+    client.stream_job(job, |_| {}).expect("stream")
+}
+
+#[test]
+fn small_frames_are_not_held_for_the_delayed_ack() {
+    let server = Server::bind("127.0.0.1:0", Arc::new(MockRunner), ServerConfig::default())
+        .expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // Distinct keys, three chunks each: every job streams Accepted,
+    // three Progress frames and Done, and the runner takes no time, so
+    // a job's latency is the framing alone.
+    let mut millis: Vec<f64> = (0..32)
+        .map(|i| {
+            let trials = 30 + i;
+            let submitted = Instant::now();
+            let outcome = run_job(&mut client, &spec(trials, trials.div_ceil(3)));
+            assert_eq!(outcome.progress.len(), 3);
+            submitted.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    millis.sort_by(f64::total_cmp);
+    let median = millis[millis.len() / 2];
+    // Half of Linux's 40 ms minimum delayed ACK: a frame held for the
+    // client's ACK puts every job above it.
+    assert!(
+        median < 20.0,
+        "median submit-to-Done {median:.1} ms: frames wait for delayed ACKs"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn result_cache_evicts_the_oldest_result_first() {
+    let runner = Arc::new(RecordingRunner::default());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&runner), ServerConfig::default())
+        .expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // One more distinct key than the cache holds, one chunk each.
+    let cap = u32::try_from(RESULT_CACHE_CAP).expect("cap fits u32");
+    let specs: Vec<JobSpec> = (1..=cap + 1).map(|t| spec(t, t)).collect();
+    let firsts: Vec<JobOutcome> = specs.iter().map(|s| run_job(&mut client, s)).collect();
+    assert!(firsts.iter().all(|o| !o.done.cached));
+    let chunks = runner.ranges.lock().unwrap().len();
+
+    // The newest result is still cached ...
+    let newest = run_job(&mut client, &specs[specs.len() - 1]);
+    assert!(newest.done.cached, "the newest result must stay cached");
+    assert_eq!(runner.ranges.lock().unwrap().len(), chunks);
+
+    // ... and the oldest was evicted: it re-executes, honestly flagged,
+    // to the same aggregate.
+    let oldest = run_job(&mut client, &specs[0]);
+    assert!(!oldest.done.cached, "an evicted key re-executes");
+    assert_eq!(runner.ranges.lock().unwrap()[chunks..].to_vec(), vec![0..1]);
+    assert_eq!(encode(&oldest.done.stats), encode(&firsts[0].done.stats));
+    assert_eq!(oldest.done.executed, firsts[0].done.executed);
+    server.shutdown();
+}
+
+#[test]
+fn restart_seeds_only_the_newest_results() {
+    let dir = temp_state_dir("cache-cap");
+    let config = || ServerConfig {
+        workers: 1,
+        state_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let cap = u32::try_from(RESULT_CACHE_CAP).expect("cap fits u32");
+    let specs: Vec<JobSpec> = (1..=cap + 2).map(|t| spec(t, t)).collect();
+    let firsts: Vec<JobOutcome> = {
+        let server = Server::bind("127.0.0.1:0", Arc::new(MockRunner), config()).expect("bind");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let firsts = specs.iter().map(|s| run_job(&mut client, s)).collect();
+        server.shutdown();
+        firsts
+    };
+    let (_, journaled) = JobJournal::open(&dir).expect("inspect journal");
+    assert_eq!(journaled.completed.len(), specs.len());
+
+    let runner = Arc::new(RecordingRunner::default());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&runner), config()).expect("rebind");
+    assert_eq!(server.recovery().results_cached, RESULT_CACHE_CAP);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // The newest cap results answer from the seeded cache ...
+    for i in [2, specs.len() - 1] {
+        let again = run_job(&mut client, &specs[i]);
+        assert!(again.done.cached, "job {i} is among the newest");
+        assert_eq!(encode(&again.done.stats), encode(&firsts[i].done.stats));
+    }
+    assert!(runner.ranges.lock().unwrap().is_empty());
+    // ... and the two oldest re-execute.
+    for i in [0, 1] {
+        let again = run_job(&mut client, &specs[i]);
+        assert!(!again.done.cached, "job {i} was not seeded");
+        assert_eq!(encode(&again.done.stats), encode(&firsts[i].done.stats));
+    }
+    assert_eq!(*runner.ranges.lock().unwrap(), vec![0..1, 0..2]);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
