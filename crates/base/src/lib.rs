@@ -25,7 +25,7 @@ pub mod parallel;
 pub mod plan;
 pub mod stats;
 
-pub use plan::{ProtectionPlan, RegionPlan, SupervisorPolicy};
+pub use plan::{ProtectionPlan, RegionPlan};
 pub use stats::{
     wilson_ci, CampaignStats, ClassCounts, EarlyStop, OutcomeClass, StopMetric, TrialOutcome,
     WilsonCi,

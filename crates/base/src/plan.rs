@@ -34,92 +34,11 @@ impl RegionPlan {
     }
 }
 
-/// Policy of the per-region runtime supervisor — the online half of the
-/// paper's run-time management layer (§5–§6).
-///
-/// The supervisor drives a three-state circuit breaker per region:
-///
-/// * **Predicting** — the chain is live; health windows of `window`
-///   resolved elements are scored. A window whose reject rate exceeds
-///   `max_reject_rate`, whose detected-fault rate exceeds
-///   `max_fault_rate`, or `drift_windows` consecutive signature ticks
-///   whose context signature is unknown to the trained QoS table demote
-///   the region.
-/// * **Degraded** — predictions are forced off; every boundary is
-///   re-computed (CP/SWIFT-R behaviour). After `cooldown` elements the
-///   region moves to probing.
-/// * **Probing** — every `probe_stride`-th element is fed to the chain
-///   again; the rest stay on the re-compute path. Once `probe_window`
-///   probes resolve, the region is promoted back to Predicting if the
-///   probe agreement rate is at least `min_probe_agreement`, and
-///   demoted (fresh cooldown) otherwise.
-///
-/// The cooldown plus the probe window form the breaker's hysteresis: a
-/// region can never bounce Predicting → Degraded → Predicting in fewer
-/// than `cooldown + probe_window * probe_stride` elements.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SupervisorPolicy {
-    /// Resolved elements per health window.
-    pub window: u32,
-    /// Demote when a window's rejected/resolved ratio exceeds this.
-    pub max_reject_rate: f64,
-    /// Demote when a window's detected-fault/resolved ratio exceeds this.
-    pub max_fault_rate: f64,
-    /// Demote after this many consecutive unknown-signature ticks.
-    pub drift_windows: u32,
-    /// Elements to hold the region in Degraded before probing.
-    pub cooldown: u32,
-    /// In Probing, feed every `probe_stride`-th element to the chain.
-    pub probe_stride: u32,
-    /// Probed elements that must resolve before a promotion decision.
-    pub probe_window: u32,
-    /// Minimum probe agreement (accepted/probed) to promote.
-    pub min_probe_agreement: f64,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        SupervisorPolicy {
-            window: 128,
-            max_reject_rate: 0.5,
-            max_fault_rate: 0.05,
-            drift_windows: 2,
-            cooldown: 512,
-            probe_stride: 4,
-            probe_window: 32,
-            min_probe_agreement: 0.75,
-        }
-    }
-}
-
-impl SupervisorPolicy {
-    /// Stable textual fingerprint (floats by bit pattern, like the
-    /// acceptable-range override in [`ProtectionPlan::fingerprint`]).
-    pub fn fingerprint(&self) -> String {
-        format!(
-            "sup:w={},rr={:016x},fr={:016x},dw={},cd={},ps={},pw={},pa={:016x}",
-            self.window,
-            self.max_reject_rate.to_bits(),
-            self.max_fault_rate.to_bits(),
-            self.drift_windows,
-            self.cooldown,
-            self.probe_stride,
-            self.probe_window,
-            self.min_probe_agreement.to_bits(),
-        )
-    }
-}
-
 /// The full per-module plan: one entry per protected region.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProtectionPlan {
     /// Per-region decisions, in no particular order (ids may be sparse).
     pub regions: Vec<RegionPlan>,
-    /// Runtime-supervisor policy shipped with the plan, if any. `None`
-    /// (the compile-time default — supervision is a deployment choice)
-    /// leaves the fingerprint exactly as it was before this field
-    /// existed, so stored cache keys stay valid.
-    pub supervisor: Option<SupervisorPolicy>,
 }
 
 impl ProtectionPlan {
@@ -161,14 +80,7 @@ impl ProtectionPlan {
             })
             .collect();
         parts.sort();
-        let mut fp = parts.join(";");
-        if let Some(sup) = &self.supervisor {
-            // Appended only when set: plans without a supervisor policy
-            // fingerprint byte-identically to the pre-supervisor format.
-            fp.push(';');
-            fp.push_str(&sup.fingerprint());
-        }
-        fp
+        parts.join(";")
     }
 }
 
@@ -188,7 +100,6 @@ mod tests {
                 },
                 RegionPlan::unprotected(0),
             ],
-            supervisor: None,
         };
         assert_eq!(plan.num_regions(), 3);
         assert!(plan.region(2).unwrap().has_body);
@@ -213,11 +124,9 @@ mod tests {
         };
         let fwd = ProtectionPlan {
             regions: vec![a.clone(), b.clone()],
-            supervisor: None,
         };
         let rev = ProtectionPlan {
             regions: vec![b, a],
-            supervisor: None,
         };
         assert_eq!(fwd.fingerprint(), rev.fingerprint());
 
@@ -228,28 +137,5 @@ mod tests {
         let mut ar_changed = fwd.clone();
         ar_changed.regions[1].acceptable_range = Some(0.8);
         assert_ne!(fwd.fingerprint(), ar_changed.fingerprint());
-    }
-
-    #[test]
-    fn supervisor_policy_extends_the_fingerprint_only_when_set() {
-        let base = ProtectionPlan {
-            regions: vec![RegionPlan::unprotected(0)],
-            supervisor: None,
-        };
-        // `None` keeps the historical format — no trailing section.
-        assert!(!base.fingerprint().contains("sup:"));
-
-        let mut supervised = base.clone();
-        supervised.supervisor = Some(SupervisorPolicy::default());
-        assert_ne!(base.fingerprint(), supervised.fingerprint());
-        assert!(supervised.fingerprint().contains("sup:"));
-
-        // Any policy knob changes the fingerprint.
-        let mut tweaked = supervised.clone();
-        tweaked.supervisor.as_mut().unwrap().cooldown += 1;
-        assert_ne!(supervised.fingerprint(), tweaked.fingerprint());
-        let mut tweaked = supervised.clone();
-        tweaked.supervisor.as_mut().unwrap().max_reject_rate = 0.6;
-        assert_ne!(supervised.fingerprint(), tweaked.fingerprint());
     }
 }

@@ -11,10 +11,7 @@ use rskip_runtime::{
     export_profiles, import_profiles, profile_module_with, train_from_profiles, PredictionRuntime,
     RegionInit, RegionProfile, RuntimeConfig, TrainedModel, TrainingConfig,
 };
-use rskip_store::{
-    ArtifactMeta, CacheKey, LoadOutcome, ModelArtifact, Store, StoredModels, StoredPlan,
-    StoredSupervisorPolicy,
-};
+use rskip_store::{ArtifactMeta, CacheKey, LoadOutcome, ModelArtifact, Store, StoredModels};
 use rskip_workloads::{Benchmark, InputSet, SizeProfile};
 
 use crate::experiment::SchemeVariant;
@@ -319,17 +316,11 @@ impl BenchSetup {
                         size: size_label(options.size),
                         train_seeds: options.train_seeds.clone(),
                     },
-                    plan: StoredPlan::from(&rskip.plan()),
                     profiles: export_profiles(&profiles),
                     models: models
                         .iter()
                         .map(|(ar, m)| (ar.label(), StoredModels::from(m)))
                         .collect(),
-                    supervisor: rskip
-                        .plan()
-                        .supervisor
-                        .as_ref()
-                        .map(StoredSupervisorPolicy::from),
                 };
                 if let Err(e) = store.save(&artifact) {
                     warn(&format!("save failed: {e}"));
@@ -464,5 +455,18 @@ mod tests {
         let (pp, skip) = setup.run_timed(SchemeVariant::RSkip(ArSetting { percent: 100 }), &input);
         assert!(pp.counters.cycles > base.counters.cycles);
         assert!(skip > 0.0);
+    }
+
+    #[test]
+    fn setup_cache_key_matches_stored_artifacts() {
+        // Stored artifacts are addressed by this hex: a change to the
+        // key's parts or their encoding orphans every existing store.
+        let bench = rskip_workloads::benchmark_by_name("conv1d").unwrap();
+        let options = EvalOptions::at_size(SizeProfile::Tiny);
+        let rskip = protect(&bench.build(options.size), Scheme::RSkip);
+        assert_eq!(
+            setup_cache_key("conv1d", &rskip, &options).hex(),
+            "153b75bcf3baddf2"
+        );
     }
 }

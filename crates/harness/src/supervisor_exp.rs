@@ -319,12 +319,8 @@ fn run_replay(setup: &BenchSetup, runs: u32) -> ReplayResult {
     let golden0 = setup.bench.golden(setup.options.size, &steps[0].input);
     let n = golden0.len() as u32;
     let policy = policy_for(n);
-    let tick = u64::from(n);
 
-    let base_config = RuntimeConfig {
-        tick,
-        ..RuntimeConfig::with_ar(AR.fraction())
-    };
+    let base_config = RuntimeConfig::with_ar(AR.fraction());
     let sup_config = RuntimeConfig {
         supervisor: Some(policy),
         ..base_config
@@ -385,13 +381,7 @@ fn run_replay(setup: &BenchSetup, runs: u32) -> ReplayResult {
         &stationary_schedule(STEPS_PER_PHASE),
         9000,
     );
-    let sup_config2 = RuntimeConfig {
-        supervisor: Some(policy),
-        tick,
-        ..RuntimeConfig::with_ar(AR.fraction())
-    };
-    let mut control_rt =
-        PredictionRuntime::with_model(&setup.inits, sup_config2, &setup.models[&AR]);
+    let mut control_rt = PredictionRuntime::with_model(&setup.inits, sup_config, model);
     replay_segment(setup, &mut control_rt, &control_steps);
 
     // Per-phase aggregation.

@@ -116,10 +116,6 @@ impl Protected {
     pub fn plan(&self) -> ProtectionPlan {
         ProtectionPlan {
             regions: self.regions.iter().map(RegionSpec::plan).collect(),
-            // Supervision is a deployment policy, not a compile-time
-            // decision — callers attach one before handing the plan to
-            // the runtime if they want online health monitoring.
-            supervisor: None,
         }
     }
 }

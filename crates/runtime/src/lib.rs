@@ -38,10 +38,12 @@ mod train;
 
 pub use qos::QosTable;
 pub use region::{RegionState, RegionStats};
-pub use rskip_core::{ProtectionPlan, RegionPlan, SupervisorPolicy};
+pub use rskip_core::{ProtectionPlan, RegionPlan};
 pub use runtime::{PredictionRuntime, RegionInit, RuntimeConfig, StateFaultTarget};
 pub use stored::{export_profiles, import_profiles};
-pub use supervisor::{DemotionCauses, Supervisor, SupervisorState, SupervisorStats};
+pub use supervisor::{
+    DemotionCauses, Supervisor, SupervisorPolicy, SupervisorState, SupervisorStats,
+};
 pub use train::{
     profile_module, profile_module_with, profiling_run_count, train_from_profiles,
     training_run_count, RegionModel, RegionProfile, TrainedModel, TrainingConfig,

@@ -11,7 +11,6 @@
 
 use std::collections::VecDeque;
 
-use rskip_core::SupervisorPolicy;
 use rskip_ir::Value;
 use rskip_predict::{relative_difference, CutResult, DiConfig, DynamicInterpolation, Memoizer};
 
@@ -19,7 +18,7 @@ use crate::costs;
 use crate::qos::QosTable;
 use crate::runtime::StateFaultTarget;
 use crate::signature::{signature, DEFAULT_EDGES};
-use crate::supervisor::{Supervisor, SupervisorStats};
+use crate::supervisor::{Supervisor, SupervisorPolicy, SupervisorStats};
 
 /// Aggregate per-region counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

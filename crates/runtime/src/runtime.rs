@@ -1,12 +1,13 @@
 //! The intrinsic handler wiring region state to the execution substrate.
 
-use rskip_core::{RegionPlan, SupervisorPolicy};
+use rskip_core::RegionPlan;
 use rskip_exec::{IntrinsicAction, RuntimeHooks};
 use rskip_ir::{Intrinsic, Value};
 use rskip_predict::DiConfig;
 
 use crate::costs;
 use crate::region::{RegionState, RegionStats};
+use crate::supervisor::SupervisorPolicy;
 use crate::train::TrainedModel;
 
 /// Which class of live runtime state a state-fault injection targets —
@@ -47,6 +48,11 @@ impl StateFaultTarget {
     }
 }
 
+/// Observation period of run-time management, in observed elements
+/// (Fig. 6's observe/adjust cadence): each region re-evaluates its
+/// context signature once per period.
+const TICK_PERIOD: u64 = 256;
+
 /// Deployment-time configuration of the prediction runtime.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RuntimeConfig {
@@ -55,9 +61,6 @@ pub struct RuntimeConfig {
     pub acceptable_range: f64,
     /// Starting tuning parameter before any QoS adjustment.
     pub default_tp: f64,
-    /// Observation period of run-time management (Fig. 6's
-    /// observe/adjust cadence).
-    pub tick: u64,
     /// Master switch for the PP versions (false forces CP everywhere —
     /// useful for A/B measurements on the same binary, like the paper's
     /// run-time management does when PP has no expected benefit).
@@ -79,7 +82,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             acceptable_range: 0.2,
             default_tp: 0.5,
-            tick: 256,
             enable_pp: true,
             enable_memo: true,
             supervisor: None,
@@ -152,7 +154,7 @@ impl PredictionRuntime {
                     ar,
                 },
                 init.has_body,
-                config.tick,
+                TICK_PERIOD,
             );
             if let Some(policy) = config.supervisor {
                 state.set_supervisor(policy);

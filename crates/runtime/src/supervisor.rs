@@ -40,7 +40,35 @@
 //! region and consults [`Supervisor::gate`] on every observation to
 //! decide element routing.
 
-use rskip_core::SupervisorPolicy;
+/// The knobs of one region's [`Supervisor`]: window sizes, demotion
+/// thresholds, cooldown and probing. Supervision is a deployment choice,
+/// so the policy travels in
+/// [`RuntimeConfig::supervisor`](crate::RuntimeConfig::supervisor), not in
+/// the compile-time plan. The module docs describe the state machine it
+/// drives.
+///
+/// The cooldown plus the probe window form the breaker's hysteresis: a
+/// region can never bounce Predicting → Degraded → Predicting in fewer
+/// than `cooldown + probe_window * probe_stride` elements.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SupervisorPolicy {
+    /// Resolved elements per health window.
+    pub window: u32,
+    /// Demote when a window's rejected/resolved ratio exceeds this.
+    pub max_reject_rate: f64,
+    /// Demote when a window's detected-fault/resolved ratio exceeds this.
+    pub max_fault_rate: f64,
+    /// Demote after this many consecutive unknown-signature ticks.
+    pub drift_windows: u32,
+    /// Elements to hold the region in Degraded before probing.
+    pub cooldown: u32,
+    /// In Probing, feed every `probe_stride`-th element to the cascade.
+    pub probe_stride: u32,
+    /// Probed elements that must resolve before a promotion decision.
+    pub probe_window: u32,
+    /// Minimum probe agreement (accepted/probed) to promote.
+    pub min_probe_agreement: f64,
+}
 
 /// The circuit-breaker state of one region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -19,7 +19,6 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use rskip_core::{ProtectionPlan, RegionPlan, SupervisorPolicy};
 use rskip_predict::{Memoizer, Quantizer};
 
 /// One quantizer's sorted level boundaries.
@@ -70,80 +69,6 @@ pub struct StoredModels {
     pub regions: BTreeMap<u32, StoredRegionModel>,
 }
 
-/// One region's protection-plan entry in plain-data form.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct StoredRegionPlan {
-    /// Region id.
-    pub region: u32,
-    /// Whether a PP body exists.
-    pub has_body: bool,
-    /// Whether approximate memoization may be deployed.
-    pub memoizable: bool,
-    /// Per-loop acceptable-range override (pragma).
-    pub acceptable_range: Option<f64>,
-}
-
-/// The persisted compile-time handoff (`rskip_core::ProtectionPlan`).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct StoredPlan {
-    /// Per-region decisions.
-    pub regions: Vec<StoredRegionPlan>,
-}
-
-/// The runtime-supervisor policy in plain-data form — the payload of the
-/// optional `supervisor` section. Artifacts written before the section
-/// existed simply lack it; the loader treats that as "no policy", so old
-/// `.rsm` files keep loading unchanged (forward compatibility).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct StoredSupervisorPolicy {
-    /// Resolved elements per health window.
-    pub window: u32,
-    /// Demote when a window's reject rate exceeds this.
-    pub max_reject_rate: f64,
-    /// Demote when a window's detected-fault rate exceeds this.
-    pub max_fault_rate: f64,
-    /// Demote after this many consecutive unknown-signature ticks.
-    pub drift_windows: u32,
-    /// Elements to hold a demoted region before probing.
-    pub cooldown: u32,
-    /// In Probing, feed every `probe_stride`-th element to the chain.
-    pub probe_stride: u32,
-    /// Probed elements per promotion decision.
-    pub probe_window: u32,
-    /// Minimum probe agreement to promote.
-    pub min_probe_agreement: f64,
-}
-
-impl From<&SupervisorPolicy> for StoredSupervisorPolicy {
-    fn from(p: &SupervisorPolicy) -> Self {
-        StoredSupervisorPolicy {
-            window: p.window,
-            max_reject_rate: p.max_reject_rate,
-            max_fault_rate: p.max_fault_rate,
-            drift_windows: p.drift_windows,
-            cooldown: p.cooldown,
-            probe_stride: p.probe_stride,
-            probe_window: p.probe_window,
-            min_probe_agreement: p.min_probe_agreement,
-        }
-    }
-}
-
-impl From<&StoredSupervisorPolicy> for SupervisorPolicy {
-    fn from(p: &StoredSupervisorPolicy) -> Self {
-        SupervisorPolicy {
-            window: p.window,
-            max_reject_rate: p.max_reject_rate,
-            max_fault_rate: p.max_fault_rate,
-            drift_windows: p.drift_windows,
-            cooldown: p.cooldown,
-            probe_stride: p.probe_stride,
-            probe_window: p.probe_window,
-            min_probe_agreement: p.min_probe_agreement,
-        }
-    }
-}
-
 /// One region's raw training profile. Stored so a corrupted model
 /// section can be *retrained* without re-profiling, and so figure 2
 /// (which analyzes the sampled outputs) runs on the warm path.
@@ -153,51 +78,6 @@ pub struct StoredProfile {
     pub outputs: Vec<f64>,
     /// `(arguments, output)` pairs.
     pub samples: Vec<(Vec<f64>, f64)>,
-}
-
-// --- plan conversions (infallible both ways: RegionPlan is already plain
-// data; the DTO exists because the dep-free `rskip-core` cannot derive
-// serde) ---
-
-impl From<&RegionPlan> for StoredRegionPlan {
-    fn from(p: &RegionPlan) -> Self {
-        StoredRegionPlan {
-            region: p.region,
-            has_body: p.has_body,
-            memoizable: p.memoizable,
-            acceptable_range: p.acceptable_range,
-        }
-    }
-}
-
-impl From<&StoredRegionPlan> for RegionPlan {
-    fn from(p: &StoredRegionPlan) -> Self {
-        RegionPlan {
-            region: p.region,
-            has_body: p.has_body,
-            memoizable: p.memoizable,
-            acceptable_range: p.acceptable_range,
-        }
-    }
-}
-
-impl From<&ProtectionPlan> for StoredPlan {
-    fn from(p: &ProtectionPlan) -> Self {
-        StoredPlan {
-            regions: p.regions.iter().map(StoredRegionPlan::from).collect(),
-        }
-    }
-}
-
-impl From<&StoredPlan> for ProtectionPlan {
-    fn from(p: &StoredPlan) -> Self {
-        ProtectionPlan {
-            regions: p.regions.iter().map(RegionPlan::from).collect(),
-            // The supervisor policy travels in its own optional section;
-            // the artifact loader reattaches it after decoding the plan.
-            supervisor: None,
-        }
-    }
 }
 
 // --- memoizer conversions ---
@@ -287,46 +167,6 @@ mod tests {
         let mut dto = StoredMemoModel::from(&live);
         dto.quantizers[0].boundaries[0] = f64::NAN;
         assert!(Memoizer::try_from(&dto).is_err());
-    }
-
-    #[test]
-    fn plan_round_trip_is_lossless() {
-        let plan = ProtectionPlan {
-            regions: vec![
-                RegionPlan {
-                    region: 2,
-                    has_body: true,
-                    memoizable: true,
-                    acceptable_range: Some(0.5),
-                },
-                RegionPlan::unprotected(0),
-            ],
-            supervisor: None,
-        };
-        let dto = StoredPlan::from(&plan);
-        assert_eq!(ProtectionPlan::from(&dto), plan);
-        let json = serde_json::to_string(&dto).unwrap();
-        let parsed: StoredPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, dto);
-    }
-
-    #[test]
-    fn supervisor_policy_round_trips_through_the_dto() {
-        let live = SupervisorPolicy {
-            window: 64,
-            max_reject_rate: 0.4,
-            max_fault_rate: 0.02,
-            drift_windows: 3,
-            cooldown: 256,
-            probe_stride: 8,
-            probe_window: 16,
-            min_probe_agreement: 0.9,
-        };
-        let dto = StoredSupervisorPolicy::from(&live);
-        assert_eq!(SupervisorPolicy::from(&dto), live);
-        let json = serde_json::to_string(&dto).unwrap();
-        let parsed: StoredSupervisorPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, dto);
     }
 
     #[test]

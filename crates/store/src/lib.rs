@@ -1,11 +1,13 @@
 //! # rskip-store — persistent, integrity-checked model store
 //!
 //! The layer between RSkip's offline training phase and online
-//! deployment: everything training produces — the per-signature TP
-//! selections, memoization tables and QoS models of paper §6, plus the
-//! compile-time `ProtectionPlan` handoff — is persisted as a versioned,
-//! checksummed artifact that survives process restarts and can be
-//! shipped to a fleet.
+//! deployment: what deployment reads of the training output — the
+//! merged training profiles and, per acceptable range, the
+//! per-signature TP selections and memoization tables of paper §6 — is
+//! persisted as a versioned, checksummed artifact that survives process
+//! restarts and can be shipped to a fleet. The compile-time
+//! `ProtectionPlan` is not persisted: it is recomputed from the module,
+//! and its fingerprint is part of the cache key.
 //!
 //! Fittingly for a fault-protection system, the store assumes its own
 //! bits can flip:
@@ -19,7 +21,8 @@
 //!   still warm-start, and the stored training profiles let a damaged
 //!   model section be retrained without re-profiling;
 //! * artifacts are addressed by a [`CacheKey`] — a content hash of the
-//!   module IR and the training configuration — and the key is recorded
+//!   module IR, the protection plan's fingerprint and the training
+//!   configuration — and the key is recorded
 //!   inside the artifact, so a stale or renamed file can never be loaded
 //!   against a mismatched binary.
 //!
@@ -29,6 +32,11 @@
 //! magic "RSKM" | version u16 | section table | header CRC-32
 //!              | payloads…   | file FNV-1a-64 digest
 //! ```
+//!
+//! A model artifact's sections are `meta`, `profiles` and one
+//! `models/<AR>` per acceptable range ([`ModelArtifact`]). Files of the
+//! earlier layout also carry `plan` and `supervisor` sections; those are
+//! CRC-checked and otherwise ignored, so such files still load.
 //!
 //! Payloads are serde-JSON-encoded plain-data DTOs ([`dto`]); the
 //! conversions to live runtime objects are fallible, so even
@@ -46,8 +54,7 @@ mod profiles;
 mod store;
 
 pub use dto::{
-    StoredDiModel, StoredMemoModel, StoredModels, StoredPlan, StoredProfile, StoredQuantizer,
-    StoredRegionModel, StoredRegionPlan, StoredSupervisorPolicy,
+    StoredDiModel, StoredMemoModel, StoredModels, StoredProfile, StoredQuantizer, StoredRegionModel,
 };
 pub use format::{Section, StoreError, MAGIC, VERSION};
 pub use journal::{JournalFile, JournalOpen, JOURNAL_MAGIC, JOURNAL_VERSION};
@@ -55,5 +62,5 @@ pub use key::{CacheKey, CacheKeyBuilder};
 pub use profiles::{ProfileCache, ProfileRecord};
 pub use store::{
     ArtifactMeta, FileReport, LoadOutcome, ModelArtifact, PartialArtifact, Store, ARTIFACT_EXT,
-    SECTION_META, SECTION_MODELS_PREFIX, SECTION_PLAN, SECTION_PROFILES, SECTION_SUPERVISOR,
+    SECTION_META, SECTION_MODELS_PREFIX, SECTION_PROFILES,
 };

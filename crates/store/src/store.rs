@@ -1,9 +1,14 @@
 //! The on-disk store: a directory of `.rsm` artifacts addressed by
 //! `(benchmark, cache key)`.
 //!
-//! One artifact holds everything offline training produced for one
-//! benchmark binary: the protection plan, the merged training profiles,
-//! and one trained model per acceptable-range setting. Loading is
+//! One artifact holds what deployment reads of the offline training for
+//! one benchmark binary: a `meta` section (provenance), the merged
+//! training `profiles`, and one `models/<AR>` section per
+//! acceptable-range setting. The protection plan is not stored: the
+//! cache key already covers it through its fingerprint. Files written
+//! before this layout may also hold `plan` and `supervisor` sections;
+//! those are CRC-checked like every section and otherwise ignored, so
+//! they still load as a [`Hit`]. Loading is
 //! corruption-aware — [`Store::load`] distinguishes a clean [`Hit`], a
 //! [`Partial`] artifact whose intact sections can still warm-start while
 //! the corrupt ones are retrained, and a [`Rejected`] file that must not
@@ -19,7 +24,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use crate::dto::{StoredModels, StoredPlan, StoredProfile, StoredSupervisorPolicy};
+use crate::dto::{StoredModels, StoredProfile};
 use crate::format::{self, Section, StoreError};
 use crate::key::CacheKey;
 
@@ -28,16 +33,10 @@ pub const ARTIFACT_EXT: &str = "rsm";
 
 /// Section names with fixed meaning.
 pub const SECTION_META: &str = "meta";
-/// The persisted protection plan.
-pub const SECTION_PLAN: &str = "plan";
 /// The merged training profiles.
 pub const SECTION_PROFILES: &str = "profiles";
 /// Prefix of the per-AR model sections (`models/AR20`, …).
 pub const SECTION_MODELS_PREFIX: &str = "models/";
-/// The optional runtime-supervisor policy. Absent in artifacts written
-/// before the supervisor existed; the loader treats absence as "no
-/// policy" so old files still produce a full [`LoadOutcome::Hit`].
-pub const SECTION_SUPERVISOR: &str = "supervisor";
 
 /// Provenance of one artifact.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -59,16 +58,10 @@ pub struct ArtifactMeta {
 pub struct ModelArtifact {
     /// Provenance.
     pub meta: ArtifactMeta,
-    /// The compile-time protection plan.
-    pub plan: StoredPlan,
     /// Merged per-region training profiles.
     pub profiles: Vec<StoredProfile>,
     /// AR label (e.g. `"AR20"`) → trained models.
     pub models: BTreeMap<String, StoredModels>,
-    /// Runtime-supervisor policy, when the plan ships one. `None` both
-    /// for supervisor-less deployments and for artifacts predating the
-    /// section.
-    pub supervisor: Option<StoredSupervisorPolicy>,
 }
 
 /// What survived of a damaged artifact.
@@ -77,15 +70,11 @@ pub struct PartialArtifact {
     /// Provenance (the meta section must be intact, or the whole file is
     /// rejected).
     pub meta: ArtifactMeta,
-    /// The plan, if its section was intact.
-    pub plan: Option<StoredPlan>,
     /// The profiles, if their section was intact — enough to retrain any
     /// corrupt model section without re-profiling.
     pub profiles: Option<Vec<StoredProfile>>,
     /// The model sections that were intact.
     pub models: BTreeMap<String, StoredModels>,
-    /// The supervisor policy, if its section existed and was intact.
-    pub supervisor: Option<StoredSupervisorPolicy>,
     /// Why the rest is missing.
     pub errors: Vec<StoreError>,
 }
@@ -144,12 +133,8 @@ impl ModelArtifact {
     pub fn to_sections(&self) -> Vec<Section> {
         let mut sections = vec![
             json_section(SECTION_META, &self.meta),
-            json_section(SECTION_PLAN, &self.plan),
             json_section(SECTION_PROFILES, &self.profiles),
         ];
-        if let Some(sup) = &self.supervisor {
-            sections.push(json_section(SECTION_SUPERVISOR, sup));
-        }
         for (label, models) in &self.models {
             sections.push(json_section(
                 &format!("{SECTION_MODELS_PREFIX}{label}"),
@@ -269,24 +254,12 @@ impl Store {
 
         // Remaining sections: a decode failure demotes the section to
         // "corrupt" (recorded, not fatal) exactly like a CRC failure.
-        let mut plan: Option<StoredPlan> = None;
+        // Sections of other names (an older file's `plan`/`supervisor`)
+        // were CRC-checked above and are otherwise ignored.
         let mut profiles: Option<Vec<StoredProfile>> = None;
         let mut models: BTreeMap<String, StoredModels> = BTreeMap::new();
-        let mut supervisor: Option<StoredSupervisorPolicy> = None;
         for s in &sections {
-            if s.name == SECTION_META {
-                continue;
-            } else if s.name == SECTION_PLAN {
-                match json_decode_section(s) {
-                    Ok(p) => plan = Some(p),
-                    Err(e) => errors.push(e),
-                }
-            } else if s.name == SECTION_SUPERVISOR {
-                match json_decode_section(s) {
-                    Ok(p) => supervisor = Some(p),
-                    Err(e) => errors.push(e),
-                }
-            } else if s.name == SECTION_PROFILES {
+            if s.name == SECTION_PROFILES {
                 match json_decode_section(s) {
                     Ok(p) => profiles = Some(p),
                     Err(e) => errors.push(e),
@@ -301,22 +274,16 @@ impl Store {
             }
         }
 
-        // The supervisor section is optional: its absence (old files) is
-        // not an error and does not demote the outcome.
-        match (plan, profiles, errors.is_empty()) {
-            (Some(plan), Some(profiles), true) => LoadOutcome::Hit(Box::new(ModelArtifact {
+        match (profiles, errors.is_empty()) {
+            (Some(profiles), true) => LoadOutcome::Hit(Box::new(ModelArtifact {
                 meta,
-                plan,
                 profiles,
                 models,
-                supervisor,
             })),
-            (plan, profiles, _) => LoadOutcome::Partial(Box::new(PartialArtifact {
+            (profiles, _) => LoadOutcome::Partial(Box::new(PartialArtifact {
                 meta,
-                plan,
                 profiles,
                 models,
-                supervisor,
                 errors,
             })),
         }
@@ -394,12 +361,8 @@ fn decode_check(s: &Section) -> Option<StoreError> {
     let check = |r: Result<(), StoreError>| r.err();
     if s.name == SECTION_META {
         check(json_decode_section::<ArtifactMeta>(s).map(|_| ()))
-    } else if s.name == SECTION_PLAN {
-        check(json_decode_section::<StoredPlan>(s).map(|_| ()))
     } else if s.name == SECTION_PROFILES {
         check(json_decode_section::<Vec<StoredProfile>>(s).map(|_| ()))
-    } else if s.name == SECTION_SUPERVISOR {
-        check(json_decode_section::<StoredSupervisorPolicy>(s).map(|_| ()))
     } else if s.name.starts_with(SECTION_MODELS_PREFIX) {
         check(json_decode_section::<StoredModels>(s).map(|_| ()))
     } else {
@@ -410,7 +373,7 @@ fn decode_check(s: &Section) -> Option<StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dto::{StoredDiModel, StoredRegionModel, StoredRegionPlan};
+    use crate::dto::{StoredDiModel, StoredRegionModel};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn temp_store() -> Store {
@@ -448,20 +411,11 @@ mod tests {
                 size: "tiny".to_string(),
                 train_seeds: vec![1000, 1001],
             },
-            plan: StoredPlan {
-                regions: vec![StoredRegionPlan {
-                    region: 0,
-                    has_body: true,
-                    memoizable: false,
-                    acceptable_range: None,
-                }],
-            },
             profiles: vec![StoredProfile {
                 outputs: vec![1.0, 2.0, 3.0],
                 samples: vec![(vec![1.0], 1.0)],
             }],
             models,
-            supervisor: None,
         }
     }
 
@@ -486,94 +440,135 @@ mod tests {
         let _ = fs::remove_dir_all(store.dir());
     }
 
-    #[test]
-    fn supervisor_section_round_trips() {
-        let store = temp_store();
-        let mut artifact = sample_artifact(key());
-        artifact.supervisor = Some(StoredSupervisorPolicy {
-            window: 64,
-            max_reject_rate: 0.4,
-            max_fault_rate: 0.02,
-            drift_windows: 3,
-            cooldown: 256,
-            probe_stride: 8,
-            probe_window: 16,
-            min_probe_agreement: 0.9,
-        });
-        store.save(&artifact).unwrap();
-        match store.load("conv1d", key()) {
-            LoadOutcome::Hit(loaded) => {
-                assert_eq!(*loaded, artifact);
-                assert_eq!(loaded.supervisor, artifact.supervisor);
-            }
-            other => panic!("expected Hit, got {other:?}"),
+    /// `sample_artifact` as the previous layout wrote it: a `plan`
+    /// section after `meta` and, when `supervisor` is set, a `supervisor`
+    /// section before the models. The payloads are that layout's JSON,
+    /// copied verbatim.
+    fn legacy_file(store: &Store, supervisor: bool) -> PathBuf {
+        let artifact = sample_artifact(key());
+        let path = store.save(&artifact).unwrap();
+        let mut sections = artifact.to_sections();
+        let raw = |name: &str, json: &str| Section {
+            name: name.to_string(),
+            payload: json.as_bytes().to_vec(),
+        };
+        sections.insert(
+            1,
+            raw(
+                "plan",
+                r#"{"regions":[{"region":0,"has_body":true,"memoizable":false,"acceptable_range":null}]}"#,
+            ),
+        );
+        if supervisor {
+            sections.insert(
+                3,
+                raw(
+                    "supervisor",
+                    r#"{"window":128,"max_reject_rate":0.5,"max_fault_rate":0.05,"drift_windows":2,"cooldown":512,"probe_stride":4,"probe_window":32,"min_probe_agreement":0.75}"#,
+                ),
+            );
         }
-        // verify sees the section and finds it intact.
-        let reports = store.verify();
-        assert!(reports[0].errors.is_empty());
-        assert!(store.describe().contains(SECTION_SUPERVISOR));
-        let _ = fs::remove_dir_all(store.dir());
+        fs::write(&path, format::encode(&sections)).unwrap();
+        path
     }
 
     #[test]
     fn old_artifact_without_supervisor_section_still_hits() {
-        // Forward compatibility: an artifact written by a pre-supervisor
-        // build has no `supervisor` section. Rebuild such a file from the
-        // raw sections and check the load outcome is an unchanged Hit.
+        // What the previous layout actually wrote: its supervisor policy
+        // was always `None`, so the file holds meta, plan, profiles and
+        // the models.
         let store = temp_store();
-        let artifact = sample_artifact(key());
-        let path = store.save(&artifact).unwrap();
-        let sections: Vec<Section> = format::decode(&fs::read(&path).unwrap())
-            .unwrap()
-            .into_iter()
-            .filter(|s| s.name != SECTION_SUPERVISOR)
-            .collect();
-        assert!(sections.iter().all(|s| s.name != SECTION_SUPERVISOR));
-        fs::write(&path, format::encode(&sections)).unwrap();
+        legacy_file(&store, false);
         match store.load("conv1d", key()) {
-            LoadOutcome::Hit(loaded) => {
-                assert!(loaded.supervisor.is_none());
-                assert_eq!(*loaded, artifact);
-            }
+            LoadOutcome::Hit(loaded) => assert_eq!(*loaded, sample_artifact(key())),
             other => panic!("expected Hit for legacy artifact, got {other:?}"),
         }
+        assert!(store.verify()[0].errors.is_empty());
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn previous_section_set_loads_as_hit_and_verifies_intact() {
+        let store = temp_store();
+        let path = legacy_file(&store, true);
+        let names: Vec<String> = format::decode(&fs::read(&path).unwrap())
+            .unwrap()
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "meta",
+                "plan",
+                "profiles",
+                "supervisor",
+                "models/AR100",
+                "models/AR20"
+            ]
+        );
+        match store.load("conv1d", key()) {
+            LoadOutcome::Hit(loaded) => assert_eq!(*loaded, sample_artifact(key())),
+            other => panic!("expected Hit for legacy artifact, got {other:?}"),
+        }
+        let reports = store.verify();
+        assert!(reports[0].errors.is_empty(), "{:?}", reports[0].errors);
         let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn corrupt_supervisor_section_demotes_to_partial() {
+        // A legacy section is never decoded, but its CRC is still checked:
+        // damage there means the file is not what was written.
         let store = temp_store();
-        let mut artifact = sample_artifact(key());
-        artifact.supervisor = Some(StoredSupervisorPolicy {
-            window: 64,
-            max_reject_rate: 0.4,
-            max_fault_rate: 0.02,
-            drift_windows: 3,
-            cooldown: 256,
-            probe_stride: 8,
-            probe_window: 16,
-            min_probe_agreement: 0.9,
-        });
-        let path = store.save(&artifact).unwrap();
-        // Schema damage behind a valid checksum: wrong JSON shape.
-        let mut sections = format::decode(&fs::read(&path).unwrap()).unwrap();
-        sections
-            .iter_mut()
-            .find(|s| s.name == SECTION_SUPERVISOR)
-            .unwrap()
-            .payload = b"[1,2,3]".to_vec();
-        fs::write(&path, format::encode(&sections)).unwrap();
+        let path = legacy_file(&store, true);
+        let mut bytes = fs::read(&path).unwrap();
+        let needle = br#"{"window":128"#;
+        let pos = bytes
+            .windows(needle.len())
+            .position(|w| w == &needle[..])
+            .unwrap();
+        bytes[pos + 2] ^= 0x04;
+        fs::write(&path, &bytes).unwrap();
         match store.load("conv1d", key()) {
             LoadOutcome::Partial(p) => {
-                assert!(p.supervisor.is_none());
-                assert!(p.plan.is_some());
+                assert!(p.profiles.is_some());
+                assert_eq!(p.models.len(), 2);
                 assert!(p.errors.iter().any(
-                    |e| matches!(e, StoreError::Decode { section, .. } if section == SECTION_SUPERVISOR),
+                    |e| matches!(e, StoreError::SectionChecksum { section, .. } if section == "supervisor"),
                 ));
             }
             other => panic!("expected Partial, got {other:?}"),
         }
+        assert!(!store.verify()[0].errors.is_empty());
         let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn plan_fingerprint_matches_the_previous_format() {
+        // Cache keys hash this text: any change to its format orphans
+        // every stored artifact.
+        use rskip_core::{ProtectionPlan, RegionPlan};
+        let plan = ProtectionPlan {
+            regions: vec![
+                RegionPlan {
+                    region: 1,
+                    has_body: false,
+                    memoizable: true,
+                    acceptable_range: Some(0.5),
+                },
+                RegionPlan {
+                    region: 0,
+                    has_body: true,
+                    memoizable: false,
+                    acceptable_range: None,
+                },
+            ],
+        };
+        assert_eq!(
+            plan.fingerprint(),
+            "r0:body=1,memo=0,ar=none;r1:body=0,memo=1,ar=3fe0000000000000"
+        );
     }
 
     #[test]
@@ -619,7 +614,6 @@ mod tests {
 
         match store.load("conv1d", key()) {
             LoadOutcome::Partial(p) => {
-                assert!(p.plan.is_some());
                 assert!(p.profiles.is_some());
                 assert!(p.models.contains_key("AR20"));
                 assert!(!p.models.contains_key("AR100"));
@@ -642,23 +636,22 @@ mod tests {
         let store = temp_store();
         let artifact = sample_artifact(key());
         let path = store.save(&artifact).unwrap();
-        // Re-encode with a plan section that is valid JSON of the wrong
-        // shape — checksums all pass, only decode_check can see it.
+        // Re-encode with a profiles section that is valid JSON of the
+        // wrong shape — checksums all pass, only decode_check can see it.
         let mut sections = format::decode(&fs::read(&path).unwrap()).unwrap();
-        let plan = sections
+        let profiles = sections
             .iter_mut()
-            .find(|s| s.name == SECTION_PLAN)
+            .find(|s| s.name == SECTION_PROFILES)
             .unwrap();
-        plan.payload = b"[1,2,3]".to_vec();
+        profiles.payload = b"[1,2,3]".to_vec();
         fs::write(&path, format::encode(&sections)).unwrap();
         let reports = store.verify();
-        assert!(reports[0]
-            .errors
-            .iter()
-            .any(|e| matches!(e, StoreError::Decode { section, .. } if section == SECTION_PLAN)));
+        assert!(reports[0].errors.iter().any(
+            |e| matches!(e, StoreError::Decode { section, .. } if section == SECTION_PROFILES)
+        ));
         // And load degrades to Partial, not garbage.
         match store.load("conv1d", key()) {
-            LoadOutcome::Partial(p) => assert!(p.plan.is_none()),
+            LoadOutcome::Partial(p) => assert!(p.profiles.is_none()),
             other => panic!("expected Partial, got {other:?}"),
         }
         let _ = fs::remove_dir_all(store.dir());
@@ -692,7 +685,7 @@ mod tests {
         let store = temp_store();
         store.save(&sample_artifact(key())).unwrap();
         let d = store.describe();
-        for name in ["meta", "plan", "profiles", "models/AR20", "models/AR100"] {
+        for name in ["meta", "profiles", "models/AR20", "models/AR100"] {
             assert!(d.contains(name), "describe missing `{name}`:\n{d}");
         }
         let _ = fs::remove_dir_all(store.dir());

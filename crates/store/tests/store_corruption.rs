@@ -12,14 +12,14 @@ use std::collections::BTreeMap;
 use rskip_store::format::{decode, decode_lenient, validate};
 use rskip_store::{
     ArtifactMeta, CacheKey, LoadOutcome, ModelArtifact, Store, StoreError, StoredDiModel,
-    StoredModels, StoredPlan, StoredProfile, StoredRegionModel, StoredRegionPlan,
+    StoredModels, StoredProfile, StoredRegionModel,
 };
 
 fn test_key() -> CacheKey {
     CacheKey::builder().text("corruption-test").finish()
 }
 
-/// A small but fully populated artifact (all four section kinds).
+/// A small but fully populated artifact (all three section kinds).
 fn sample_artifact() -> ModelArtifact {
     let mut signature_tp = BTreeMap::new();
     signature_tp.insert("17".to_string(), 0.25);
@@ -47,20 +47,11 @@ fn sample_artifact() -> ModelArtifact {
             size: "tiny".to_string(),
             train_seeds: vec![1, 2],
         },
-        plan: StoredPlan {
-            regions: vec![StoredRegionPlan {
-                region: 0,
-                has_body: true,
-                memoizable: true,
-                acceptable_range: Some(0.5),
-            }],
-        },
         profiles: vec![StoredProfile {
             outputs: vec![1.0, 2.0, 3.0],
             samples: vec![(vec![0.5, 0.25], 1.0), (vec![1.5, 0.75], 2.0)],
         }],
         models: per_ar,
-        supervisor: None,
     }
 }
 
@@ -229,9 +220,6 @@ fn store_never_hits_on_a_corrupted_artifact() {
                 // Whatever survived must equal the original sections —
                 // recovery never invents data.
                 assert_eq!(partial.meta, artifact.meta, "flip at {i}");
-                if let Some(plan) = &partial.plan {
-                    assert_eq!(plan, &artifact.plan, "flip at {i}");
-                }
                 if let Some(profiles) = &partial.profiles {
                     assert_eq!(profiles, &artifact.profiles, "flip at {i}");
                 }
