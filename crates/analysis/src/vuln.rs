@@ -12,7 +12,7 @@
 //! instruction *boundary* `(block, ip)` — the innermost frame is about
 //! to execute instruction `ip` (`ip == insts.len()` ⇒ the terminator) —
 //! plus the fault's static coordinates. Three judgements are offered,
-//! one per [`FaultModel`] shape:
+//! one per `rskip_exec::FaultModel` shape:
 //!
 //! * **Bit flip** (`SingleBitSeu`): benign if the register is not live
 //!   at the boundary (no path reads it before it is overwritten — the
@@ -49,8 +49,6 @@
 //! The cross-validation contract (`crates/exec/tests/vuln_prune.rs`)
 //! checks soundness dynamically: every site this module calls benign
 //! must classify **Correct** under exhaustive enumeration.
-//!
-//! [`FaultModel`]: https://docs.rs/rskip-exec — `rskip_exec::FaultModel`
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;

@@ -27,7 +27,7 @@
 //!   Segfault / Core dump / Hang), derived from the run's termination and a
 //!   bit-exact output comparison ("our evaluation considers even small
 //!   output errors as bad quality").
-//! * [`ExecTier`] — selectable execution engines over one decode: the
+//! * [`ExecTier`] — the two execution engines over one decode: the
 //!   reference match-dispatch interpreter (semantics oracle, and the
 //!   only engine of timed and traced runs) and a direct-threaded tier
 //!   (the default for every other run, observationally identical,

@@ -113,7 +113,7 @@ impl RunOutcome {
 /// [`Machine::run_traced`] census — runs on the reference loop, whatever
 /// the configured tier. Within that rule the tiers are observationally
 /// identical — byte-identical memory, counters, timing and injection
-/// records ([`crate::threaded`] documents the exactness argument;
+/// records (the private `threaded` module documents the exactness argument;
 /// `tests/tier_equivalence.rs` in the harness crate enforces it). They
 /// differ only in speed:
 ///
@@ -130,46 +130,13 @@ pub enum ExecTier {
 }
 
 impl ExecTier {
-    /// Parses a tier name as used by `--tier` flags and the
-    /// `RSKIP_EXEC_TIER` environment override. `threaded-nofuse`, the
-    /// name of a since-removed variant of the threaded tier, still parses
-    /// as [`ExecTier::Threaded`].
-    pub fn parse(s: &str) -> Option<ExecTier> {
-        match s {
-            "match" => Some(ExecTier::Match),
-            "threaded" | "threaded-nofuse" => Some(ExecTier::Threaded),
-            _ => None,
-        }
-    }
-
-    /// Stable display name (inverse of [`ExecTier::parse`]).
+    /// Stable display name.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             ExecTier::Match => "match",
             ExecTier::Threaded => "threaded",
         }
-    }
-
-    /// The process-wide default tier: `RSKIP_EXEC_TIER` if set (read
-    /// once), otherwise [`ExecTier::Threaded`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized `RSKIP_EXEC_TIER` value — silently
-    /// falling back would invalidate any benchmark or experiment the
-    /// override was meant to steer.
-    pub fn from_env() -> ExecTier {
-        static TIER: std::sync::OnceLock<ExecTier> = std::sync::OnceLock::new();
-        *TIER.get_or_init(|| match std::env::var("RSKIP_EXEC_TIER") {
-            Ok(s) => ExecTier::parse(&s).unwrap_or_else(|| {
-                panic!(
-                    "RSKIP_EXEC_TIER={s:?} is not a tier \
-                     (expected: match | threaded)"
-                )
-            }),
-            Err(_) => ExecTier::Threaded,
-        })
     }
 }
 
@@ -193,7 +160,8 @@ pub struct ExecConfig {
     /// execute on the reference loop (see [`ExecTier`]).
     pub timing: Option<PipelineConfig>,
     /// Execution engine for untimed, untraced runs (defaults to
-    /// [`ExecTier::from_env`]).
+    /// [`ExecTier::Threaded`]; tests and benchmarks pin
+    /// [`ExecTier::Match`] to reach the reference loop).
     pub tier: ExecTier,
 }
 
@@ -202,7 +170,7 @@ impl Default for ExecConfig {
         ExecConfig {
             step_limit: 500_000_000,
             timing: None,
-            tier: ExecTier::from_env(),
+            tier: ExecTier::Threaded,
         }
     }
 }
@@ -1742,14 +1710,5 @@ mod tests {
         // The bubble still retires: same dynamic instruction count.
         assert_eq!(out.counters.retired, clean.counters.retired);
         assert_ne!(returned_i(&out), 30);
-    }
-
-    #[test]
-    fn tier_names_parse_and_the_removed_nofuse_name_aliases_threaded() {
-        for tier in [ExecTier::Match, ExecTier::Threaded] {
-            assert_eq!(ExecTier::parse(tier.label()), Some(tier));
-        }
-        assert_eq!(ExecTier::parse("threaded-nofuse"), Some(ExecTier::Threaded));
-        assert_eq!(ExecTier::parse("garbage"), None);
     }
 }

@@ -22,7 +22,7 @@
 //! rskip-eval serve  [--addr HOST:PORT] [--workers N] [--queue N] [--chunk N] [--size ...] [--store DIR]
 //!                   [--state-dir DIR]
 //! rskip-eval submit [--addr HOST:PORT] [--bench NAME] [--scheme unsafe|swift-r|arN|arN-di]
-//!                   [--fault-model seu|skip|burst:N] [--tier ...] [--runs N] [--chunk N]
+//!                   [--fault-model seu|skip|burst:N] [--runs N] [--chunk N]
 //!                   [--tenant NAME] [--stop-half-width F] [--stop-metric sdc|correct]
 //!                   [--cancel-after N] [--expect-narrowing] [--outcomes] [--shutdown] [--json]
 //!                   [--retry N]
@@ -67,7 +67,8 @@
 //! always measures both tiers and exits 1 if the threaded tier is not
 //! faster than `match` on any listed benchmark. `rskip-eval bench --size
 //! tiny --runs 120 --bench conv1d,kde --json` regenerates
-//! `results/BENCH_campaign.json`.
+//! `results/BENCH_campaign.json`. No other command picks a tier: the
+//! engine runs campaigns on `threaded` and timed figures on `match`.
 //!
 //! `supervise` replays a drifting-input workload with and without the
 //! runtime supervisor and runs the runtime-state SEU campaign with
@@ -122,7 +123,6 @@ struct Args {
     out: Option<PathBuf>,
     store: Option<PathBuf>,
     json: bool,
-    tier: Option<rskip_exec::ExecTier>,
     bench: String,
     fault_models: Vec<rskip_exec::FaultModel>,
     addr: String,
@@ -165,7 +165,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         store: None,
         json: false,
-        tier: None,
         bench: "conv1d".to_string(),
         fault_models: Vec::new(),
         addr: "127.0.0.1:4590".to_string(),
@@ -201,13 +200,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--inputs" => {
                 parsed.inputs = value()?.parse().map_err(|e| format!("bad --inputs: {e}"))?;
-            }
-            "--tier" => {
-                let v = value()?;
-                parsed.tier = Some(
-                    rskip_exec::ExecTier::parse(&v)
-                        .ok_or(format!("unknown tier `{v}` (match | threaded)"))?,
-                );
             }
             "--bench" => parsed.bench = value()?,
             "--fault-model" => {
@@ -279,7 +271,7 @@ fn usage() -> String {
     "usage: rskip-eval <table1|fig2|fig7|fig8a|fig8b|fig9|tradeoff|cost-ratio|ablations|all\
      |supervise|lint|train|inspect|verify|bench|campaign|vuln|serve|submit> \
      [--size tiny|small|full] [--runs N] [--inputs N] [--out DIR] [--store DIR] [--json] \
-     [--tier match|threaded] [--bench NAME] \
+     [--bench NAME] \
      [--fault-model seu|skip|burst:N[,...]] \
      [--addr HOST:PORT] [--workers N] [--queue N] [--chunk N] [--tenant NAME] \
      [--scheme unsafe|swift-r|arN|arN-di] [--stop-half-width F] [--stop-metric sdc|correct] \
@@ -570,7 +562,6 @@ fn main() {
                         .unwrap_or_else(|| PathBuf::from("results/store"))
                         .join("vuln-profiles")
                 }),
-                tier: args.tier,
             };
             let report = rskip_harness::vuln::run_with(&engine, benches, &models, &opts);
             if args.json {
@@ -737,7 +728,6 @@ fn run_submit(args: &Args) -> i32 {
     let mut spec = JobSpec::new(&args.bench, &args.scheme, &model.label(), args.runs);
     spec.tenant = args.tenant.clone();
     spec.chunk = args.chunk;
-    spec.tier = args.tier.map(|t| t.label().to_string()).unwrap_or_default();
     spec.want_outcomes = args.outcomes;
     if let Some(half_width) = args.stop_half_width {
         spec.stop = Some(EarlyStop {

@@ -169,7 +169,8 @@ impl<'m> Campaign<'m> {
 
     /// Selects the execution tier for every subsequent trial (the tiers
     /// are observationally identical, so this changes throughput only).
-    /// Defaults to [`rskip_exec::ExecTier::from_env`].
+    /// Defaults to [`rskip_exec::ExecTier::Threaded`]; tests and the
+    /// throughput bench pin [`rskip_exec::ExecTier::Match`] here.
     pub fn set_tier(&mut self, tier: rskip_exec::ExecTier) {
         self.config.tier = tier;
     }

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use rskip_exec::{ExecTier, FaultModel};
+use rskip_exec::FaultModel;
 use rskip_ir::Value;
 use rskip_serve::{CampaignRunner, ChunkOutput, ErrorKind, JobSpec};
 use rskip_store::Store;
@@ -62,8 +62,8 @@ struct BenchData {
     input: InputSet,
     golden: Vec<Value>,
     /// Sizing per scheme label — the clean run depends on the scheme's
-    /// module and hooks, nothing else (not the fault model, tier, seed
-    /// or trial count).
+    /// module and hooks, nothing else (not the fault model, seed or
+    /// trial count).
     sizings: Mutex<BTreeMap<String, CampaignSizing>>,
 }
 
@@ -151,12 +151,6 @@ impl CampaignRunner for HarnessRunner {
                 ),
             ));
         }
-        if !spec.tier.is_empty() && ExecTier::parse(&spec.tier).is_none() {
-            return Err((
-                ErrorKind::UnknownTier,
-                format!("no execution tier {:?}", spec.tier),
-            ));
-        }
         Ok(())
     }
 
@@ -191,11 +185,6 @@ impl CampaignRunner for HarnessRunner {
         let data = self.bench_data(spec.tenant_or_default(), &spec.bench);
         let variant = SchemeVariant::parse(&spec.scheme).expect("validated at admission");
         let model = FaultModel::parse(&spec.fault_model).expect("validated at admission");
-        let tier = if spec.tier.is_empty() {
-            None
-        } else {
-            Some(ExecTier::parse(&spec.tier).expect("validated at admission"))
-        };
         let seed0 = campaign_seed(&spec.bench, variant, model, spec.trials);
         let setup = &data.setup;
         let module = setup.module(variant);
@@ -223,9 +212,6 @@ impl CampaignRunner for HarnessRunner {
             sizing,
         );
         campaign.set_fault_model(model);
-        if let Some(tier) = tier {
-            campaign.set_tier(tier);
-        }
         let trials =
             campaign.trial_outcomes_on(num_threads(), range, make_hooks, BenchSetup::recoveries);
         let mut stats = CampaignStats::default();

@@ -237,8 +237,7 @@ fn measure_parallel(
 ) -> ParallelThroughput {
     let input = setup.test_input();
     let golden = setup.bench.golden(setup.options.size, &input);
-    let mut c = campaign(setup, &input, &golden, ar, seed0, trials);
-    c.set_tier(ExecTier::Threaded);
+    let c = campaign(setup, &input, &golden, ar, seed0, trials);
     let best = best_secs("workers", &[1, pool], reps, |threads| {
         one_campaign(&c, setup, ar, threads)
     });

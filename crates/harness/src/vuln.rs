@@ -39,8 +39,8 @@ use rskip_analysis::{
 };
 use rskip_core::digest::Fnv1a64;
 use rskip_exec::{
-    classify_outcome, skip_holds_fire, Decoded, ExactFault, ExactFaultKind, ExecConfig, ExecTier,
-    FaultModel, Machine, OutcomeClass, RuntimeHooks,
+    classify_outcome, skip_holds_fire, Decoded, ExactFault, ExactFaultKind, ExecConfig, FaultModel,
+    Machine, OutcomeClass, RuntimeHooks,
 };
 use rskip_ir::{BlockId, Module, Value};
 use rskip_store::{CacheKey, ProfileCache, ProfileRecord};
@@ -71,8 +71,6 @@ pub struct VulnOptions {
     /// Directory of the per-section profile cache; `None` runs every
     /// section cold (no persistence).
     pub cache_dir: Option<PathBuf>,
-    /// Execution-tier override for the injection runs.
-    pub tier: Option<ExecTier>,
 }
 
 impl Default for VulnOptions {
@@ -81,7 +79,6 @@ impl Default for VulnOptions {
             runs: 400,
             oracle_limit: 4096,
             cache_dir: None,
-            tier: None,
         }
     }
 }
@@ -114,8 +111,6 @@ pub struct CellSpec<'a> {
     pub context: &'a str,
     /// Per-section profile cache, if incremental mode is on.
     pub cache: Option<&'a ProfileCache>,
-    /// Execution-tier override.
-    pub tier: Option<ExecTier>,
 }
 
 /// A composed rate mirrored into a serializable shape.
@@ -408,9 +403,6 @@ pub fn analyze_cell<H: RuntimeHooks>(
         sizing,
     );
     campaign.set_fault_model(spec.model);
-    if let Some(tier) = spec.tier {
-        campaign.set_tier(tier);
-    }
 
     let total_sites = sites.len() as u64;
     let threads = num_threads();
@@ -599,7 +591,6 @@ pub fn run_with(
                     oracle_limit: opts.oracle_limit,
                     context: &context,
                     cache: cache.as_ref(),
-                    tier: opts.tier,
                 };
                 let cell = analyze_cell(&spec, || setup.hooks(variant), BenchSetup::recoveries);
                 cells.push(cell);

@@ -26,7 +26,7 @@ const TRIALS: u32 = 500;
 fn one_shot(
     setup: &rskip_harness::BenchSetup,
     ar: ArSetting,
-    tier: Option<ExecTier>,
+    tier: ExecTier,
     threads: usize,
 ) -> (CampaignStats, CampaignSizing) {
     let input = setup.test_input();
@@ -41,9 +41,7 @@ fn one_shot(
         SEED,
         TRIALS,
     );
-    if let Some(tier) = tier {
-        campaign.set_tier(tier);
-    }
+    campaign.set_tier(tier);
     let stats = campaign.run_on(threads, make, |h| h.total_faults_recovered());
     (stats, campaign.sizing())
 }
@@ -54,7 +52,7 @@ fn one_shot(
 fn chunked(
     setup: &rskip_harness::BenchSetup,
     ar: ArSetting,
-    tier: Option<ExecTier>,
+    tier: ExecTier,
     threads: usize,
     chunk: u32,
     sizing: CampaignSizing,
@@ -75,9 +73,7 @@ fn chunked(
             TRIALS,
             sizing,
         );
-        if let Some(tier) = tier {
-            campaign.set_tier(tier);
-        }
+        campaign.set_tier(tier);
         let partial =
             campaign.run_range_on(threads, start..end, make, |h| h.total_faults_recovered());
         assert_eq!(
@@ -99,12 +95,12 @@ fn chunked_equals_one_shot_across_chunkings_threads_and_tiers() {
 
     // Reference: one-shot on the default tier at an arbitrary thread
     // count (thread count must not matter, and the suite proves it).
-    let (reference, sizing) = one_shot(&setup, ar, None, 4);
+    let (reference, sizing) = one_shot(&setup, ar, ExecTier::Threaded, 4);
     assert_eq!(reference.counts.total(), u64::from(TRIALS));
     let reference_wire = encode(&reference);
 
     // The issue's acceptance case first: chunked(5 × 100) ≡ one-shot(500).
-    let five_by_hundred = chunked(&setup, ar, None, 4, 100, sizing);
+    let five_by_hundred = chunked(&setup, ar, ExecTier::Threaded, 4, 100, sizing);
     assert_eq!(
         encode(&five_by_hundred),
         reference_wire,
@@ -117,7 +113,7 @@ fn chunked_equals_one_shot_across_chunkings_threads_and_tiers() {
     // which is what the env knob feeds), and every execution tier.
     for chunk in [33, 100, 250, TRIALS] {
         for threads in [1, 2, 8] {
-            for tier in [None, Some(ExecTier::Match), Some(ExecTier::Threaded)] {
+            for tier in [ExecTier::Match, ExecTier::Threaded] {
                 let merged = chunked(&setup, ar, tier, threads, chunk, sizing);
                 assert_eq!(
                     encode(&merged),
@@ -130,7 +126,7 @@ fn chunked_equals_one_shot_across_chunkings_threads_and_tiers() {
 
     // The one-shot itself is thread-count invariant too (both tiers of
     // the determinism claim, one test).
-    let (single_threaded, _) = one_shot(&setup, ar, Some(ExecTier::Match), 1);
+    let (single_threaded, _) = one_shot(&setup, ar, ExecTier::Match, 1);
     assert_eq!(encode(&single_threaded), reference_wire);
 }
 

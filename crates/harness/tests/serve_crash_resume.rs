@@ -107,10 +107,9 @@ fn spawn_server(state_dir: &Path, crash_after: Option<u64>) -> (Child, SocketAdd
     }
 }
 
-fn spec_for(scheme: &str, trials: u32, chunk: u32, tier: &str) -> JobSpec {
+fn spec_for(scheme: &str, trials: u32, chunk: u32) -> JobSpec {
     let mut spec = JobSpec::new("conv1d", scheme, "seu", trials);
     spec.chunk = chunk;
-    spec.tier = tier.to_string();
     spec
 }
 
@@ -165,13 +164,13 @@ fn assert_crash_resume_cycle(state_dir: &Path, spec: &JobSpec, reference_json: &
 #[test]
 fn abort_at_chunk_boundaries_resumes_byte_identically() {
     let reference = encode(&cli_reference("ar20", 100));
-    // (chunk size, crash after N journaled chunks, tier): first chunk
-    // boundary, a later boundary on another execution tier, and a
-    // chunk size above the trial count (single giant chunk — the
-    // crash lands between the final checkpoint and the Done record).
-    for (chunk, crash_after, tier) in [(33u32, 1u64, ""), (33, 2, "threaded"), (250, 1, "")] {
+    // (chunk size, crash after N journaled chunks): first chunk
+    // boundary, a later boundary, and a chunk size above the trial
+    // count (single giant chunk — the crash lands between the final
+    // checkpoint and the Done record).
+    for (chunk, crash_after) in [(33u32, 1u64), (33, 2), (250, 1)] {
         let dir = temp_dir(&format!("abort-{chunk}-{crash_after}"));
-        let spec = spec_for("ar20", 100, chunk, tier);
+        let spec = spec_for("ar20", 100, chunk);
 
         let (mut child, addr) = spawn_server(&dir, Some(crash_after));
         let mut client = Client::connect(addr).expect("connect");
@@ -197,8 +196,8 @@ fn abort_with_job_still_queued_resumes_both_jobs() {
     // Chunks of 40 trials take ~10 ms each on this runner, so job B's
     // Accepted record is journaled long before the crash counter (two
     // chunks of A) fires.
-    let spec_a = spec_for("ar20", 100, 40, "");
-    let spec_b = spec_for("unsafe", 100, 40, "");
+    let spec_a = spec_for("ar20", 100, 40);
+    let spec_b = spec_for("unsafe", 100, 40);
     let reference_a = encode(&cli_reference("ar20", 100));
     let reference_b = encode(&cli_reference("unsafe", 100));
 
@@ -225,7 +224,7 @@ fn sigkill_mid_campaign_resumes_byte_identically() {
     let dir = temp_dir("sigkill");
     // A deliberately long campaign (~0.5 s at Tiny throughput) so the
     // kill lands mid-flight rather than racing a finished job.
-    let spec = spec_for("ar20", 2_000, 50, "");
+    let spec = spec_for("ar20", 2_000, 50);
     let reference = encode(&cli_reference("ar20", 2_000));
 
     let (mut child, addr) = spawn_server(&dir, None);

@@ -12,7 +12,7 @@ use rskip_core::stats::{EarlyStop, StopMetric};
 use rskip_exec::FaultModel;
 use rskip_harness::experiment::{run_campaign_cell_model, SchemeVariant};
 use rskip_harness::{ArSetting, Engine, EvalOptions, HarnessRunner, Store};
-use rskip_serve::{encode, Client, ErrorKind, JobSpec, Response, Server, ServerConfig};
+use rskip_serve::{encode, Client, ErrorKind, JobSpec, Request, Response, Server, ServerConfig};
 use rskip_workloads::SizeProfile;
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -144,26 +144,36 @@ fn di_only_job_is_byte_identical_to_cli_driver() {
     server.shutdown();
 }
 
-/// `threaded-nofuse` named a removed variant of the threaded tier; wire
-/// jobs that still send it are accepted and run as `threaded`.
+/// Older clients sent an execution-tier name in each Submit. The
+/// server ignores the field whatever it names: every such job runs and
+/// keys like the same spec without a tier, so a tierless resubmission
+/// is a cache hit.
 #[test]
-fn retired_tier_name_runs_as_threaded() {
+fn submit_lines_with_a_tier_field_run_and_key_like_tierless_specs() {
     let server = tiny_server(None);
     let mut client = Client::connect(server.addr()).expect("connect");
-    let mut done = Vec::new();
-    for tier in ["threaded", "threaded-nofuse"] {
-        let mut spec = JobSpec::new("conv1d", "ar20", "seu", 60);
-        spec.tier = tier.into();
-        let job = client.submit_accepted(&spec).expect("accept");
-        let outcome = client.stream_job(job, |_| {}).expect("stream");
-        assert_eq!(outcome.done.executed, 60, "{tier}");
-        assert!(
-            !outcome.done.cached,
-            "{tier} must execute, not hit the cache"
+    for (tier, trials) in [("match", 40), ("threaded-nofuse", 41), ("warp", 42)] {
+        let spec = JobSpec::new("conv1d", "ar20", "seu", trials);
+        let line = encode(&Request::Submit(spec.clone())).replacen(
+            "\"trials\":",
+            &format!("\"tier\":\"{tier}\",\"trials\":"),
+            1,
         );
-        done.push(outcome.done.stats);
+        assert!(line.contains("\"tier\""), "spliced line: {line}");
+        client.send_raw(&line).expect("send");
+        let job = match client.recv().expect("frame") {
+            Response::Accepted { job, .. } => job,
+            other => panic!("{tier}: expected Accepted, got {other:?}"),
+        };
+        let ran = client.stream_job(job, |_| {}).expect("stream").done;
+        assert_eq!(ran.executed, trials, "{tier}");
+        assert!(!ran.cached, "{tier} must execute, not hit the cache");
+
+        let job = client.submit_accepted(&spec).expect("resubmit");
+        let again = client.stream_job(job, |_| {}).expect("stream").done;
+        assert!(again.cached, "{tier}: a tierless resubmission must hit");
+        assert_eq!(encode(&again.stats), encode(&ran.stats), "{tier}");
     }
-    assert_eq!(encode(&done[0]), encode(&done[1]));
     server.shutdown();
 }
 
@@ -225,14 +235,6 @@ fn real_runner_rejections_are_typed_and_non_fatal() {
         (
             JobSpec::new("conv1d", "ar20", "burst:99", 10),
             ErrorKind::UnknownFaultModel,
-        ),
-        (
-            {
-                let mut s = JobSpec::new("conv1d", "ar20", "seu", 10);
-                s.tier = "warp".into();
-                s
-            },
-            ErrorKind::UnknownTier,
         ),
         (
             JobSpec::new("conv1d", "ar20", "seu", 50_000),

@@ -35,7 +35,6 @@ fn spec<'a>(
         oracle_limit: 0,
         context: "Tiny",
         cache: Some(cache),
-        tier: None,
     }
 }
 

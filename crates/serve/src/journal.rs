@@ -21,7 +21,7 @@
 //!   `Cancelled` makes an explicit cancel stick across restarts.
 //!
 //! A job with no terminal marker is exactly a job the server owes work
-//! on: [`replay`] turns those into [`ResumableJob`]s (resumed at the
+//! on: replay turns those into [`ResumableJob`]s (resumed at the
 //! next chunk boundary) and the `Done`s into cache seeds. Job ids are
 //! made idempotent across restarts by seeding the server's id counter
 //! from the journal's maximum.
@@ -32,6 +32,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
@@ -130,10 +131,14 @@ pub struct Recovery {
     pub events: u64,
 }
 
-/// Per-tenant journal writers for one state directory.
+/// Per-tenant journal writers for one state directory. Each tenant's
+/// file has its own lock, held across append and fsync: writers of
+/// different tenants never wait on each other's fsync, and one tenant's
+/// appends (so each job's events) stay in order. The map lock is held
+/// only to find or open a file.
 pub struct JobJournal {
     dir: PathBuf,
-    tenants: BTreeMap<String, JournalFile>,
+    tenants: Mutex<BTreeMap<String, Arc<Mutex<JournalFile>>>>,
 }
 
 impl JobJournal {
@@ -182,13 +187,13 @@ impl JobJournal {
                     None => recovery.skipped_records += 1,
                 }
             }
-            tenants.insert(tenant, opened.journal);
+            tenants.insert(tenant, Arc::new(Mutex::new(opened.journal)));
         }
         replay(&events, &mut recovery);
         Ok((
             JobJournal {
                 dir: dir.to_path_buf(),
-                tenants,
+                tenants: Mutex::new(tenants),
             },
             recovery,
         ))
@@ -201,20 +206,18 @@ impl JobJournal {
     /// Journal create/append failure. The caller may keep serving —
     /// losing durability is better than losing the job — but should
     /// surface the failure.
-    pub fn record(&mut self, tenant: &str, event: &JournalEvent) -> Result<(), StoreError> {
-        if !self.tenants.contains_key(tenant) {
-            let path = self.dir.join(format!("{tenant}.journal"));
-            let opened = JournalFile::open(&path)?;
-            self.tenants.insert(tenant.to_string(), opened.journal);
-        }
-        let file = self.tenants.get_mut(tenant).expect("inserted above");
-        file.append(encode(event).as_bytes())
-    }
-
-    /// The state directory this journal writes under.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    pub fn record(&self, tenant: &str, event: &JournalEvent) -> Result<(), StoreError> {
+        let file = {
+            let mut tenants = self.tenants.lock().unwrap();
+            if !tenants.contains_key(tenant) {
+                let opened = JournalFile::open(&self.dir.join(format!("{tenant}.journal")))?;
+                tenants.insert(tenant.to_string(), Arc::new(Mutex::new(opened.journal)));
+            }
+            Arc::clone(&tenants[tenant])
+        };
+        let line = encode(event);
+        let mut file = file.lock().unwrap();
+        file.append(line.as_bytes())
     }
 }
 
@@ -381,7 +384,7 @@ mod tests {
             },
         ];
         {
-            let (mut journal, recovery) = JobJournal::open(&dir).unwrap();
+            let (journal, recovery) = JobJournal::open(&dir).unwrap();
             assert_eq!(recovery.events, 0);
             for e in &events {
                 journal.record("public", e).unwrap();
@@ -398,7 +401,7 @@ mod tests {
         let dir = temp_state_dir("replay");
         let spec = JobSpec::new("conv1d", "ar20", "seu", 100);
         {
-            let (mut journal, _) = JobJournal::open(&dir).unwrap();
+            let (journal, _) = JobJournal::open(&dir).unwrap();
             // Job 1: accepted, two chunks, crash (no terminal).
             journal
                 .record(
@@ -495,10 +498,96 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_tenants_append_without_losing_order() {
+        let dir = temp_state_dir("concurrent");
+        let events_of = |t: u64| -> Vec<JournalEvent> {
+            (1..=25)
+                .map(|c| JournalEvent::Chunk {
+                    job: t,
+                    executed: 4 * c,
+                    stats: stats_of(4 * c, 0),
+                })
+                .collect()
+        };
+        {
+            let (journal, _) = JobJournal::open(&dir).unwrap();
+            std::thread::scope(|scope| {
+                for t in 1..=4 {
+                    let (journal, events) = (&journal, events_of(t));
+                    scope.spawn(move || {
+                        for e in &events {
+                            journal.record(&format!("tenant-{t}"), e).unwrap();
+                        }
+                    });
+                }
+            });
+        }
+        let (_, recovery) = JobJournal::open(&dir).unwrap();
+        assert_eq!((recovery.events, recovery.skipped_records), (100, 0));
+        for t in 1..=4 {
+            let path = dir.join(format!("tenant-{t}.journal"));
+            let records = rskip_store::JournalFile::open(&path).unwrap().records;
+            let want: Vec<_> = events_of(t)
+                .iter()
+                .map(|e| encode(e).into_bytes())
+                .collect();
+            assert_eq!(records, want, "tenant-{t}'s events out of order");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal in the layout written while `JobSpec` still had a
+    /// `tier` field replays to the same [`Recovery`]: job 1 (tier
+    /// `match`) resumes with its journaled key, and job 2 (tier empty)
+    /// seeds the cache under the key a tierless resubmission gets now.
+    #[test]
+    fn journal_with_tier_fields_replays_unchanged() {
+        const LINES: [&str; 4] = [
+            r#"{"Accepted":{"job":1,"key":385114726044374073,"spec":{"tenant":"","bench":"conv1d","scheme":"ar20","fault_model":"seu","tier":"match","trials":100,"chunk":0,"stop":null,"want_outcomes":false},"chunk":25}}"#,
+            r#"{"Chunk":{"job":1,"executed":25,"stats":{"counts":{"correct":24,"sdc":1,"segfault":0,"core_dump":0,"hang":0,"detected":0},"false_negatives":{"correct":0,"sdc":1,"segfault":0,"core_dump":0,"hang":0,"detected":0},"recoveries":0,"not_fired":0,"pruned":0}}}"#,
+            r#"{"Accepted":{"job":2,"key":16121319149337519565,"spec":{"tenant":"","bench":"conv1d","scheme":"unsafe","fault_model":"skip","tier":"","trials":60,"chunk":0,"stop":null,"want_outcomes":false},"chunk":30}}"#,
+            r#"{"Done":{"job":2,"executed":60,"early_stopped":false,"stats":{"counts":{"correct":57,"sdc":3,"segfault":0,"core_dump":0,"hang":0,"detected":0},"false_negatives":{"correct":0,"sdc":3,"segfault":0,"core_dump":0,"hang":0,"detected":0},"recoveries":0,"not_fired":0,"pruned":0},"total_nanos":4321}}"#,
+        ];
+        let dir = temp_state_dir("tier-layout");
+        {
+            let path = dir.join("public.journal");
+            let mut file = rskip_store::JournalFile::open(&path).unwrap().journal;
+            for line in LINES {
+                file.append(line.as_bytes()).unwrap();
+            }
+        }
+        let (_, recovery) = JobJournal::open(&dir).unwrap();
+        assert_eq!((recovery.events, recovery.skipped_records), (4, 0));
+        assert_eq!(recovery.next_job_id, 3);
+
+        assert_eq!(recovery.resumable.len(), 1);
+        let r = &recovery.resumable[0];
+        assert_eq!(
+            (r.job, r.key, r.chunk, r.executed),
+            (1, 0x0558_33cd_8ba5_9439, 25, 25)
+        );
+        assert_eq!(r.spec, JobSpec::new("conv1d", "ar20", "seu", 100));
+        assert_eq!(r.stats, stats_of(24, 1));
+
+        let spec2 = JobSpec::new("conv1d", "unsafe", "skip", 60);
+        let key2 = crate::server::job_key(7, &spec2, 30);
+        assert_eq!(key2, 0xdfba_6e5a_16f7_25cd);
+        assert_eq!(recovery.completed.len(), 1);
+        let seed = &recovery.completed[&key2];
+        assert_eq!((seed.job, seed.executed, seed.requested), (2, 60, 60));
+        assert_eq!(
+            (seed.total_nanos, seed.early_stopped, seed.cached),
+            (4321, false, false)
+        );
+        assert_eq!(seed.stats, stats_of(57, 3));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn undecodable_records_are_skipped_not_fatal() {
         let dir = temp_state_dir("skip");
         {
-            let (mut journal, _) = JobJournal::open(&dir).unwrap();
+            let (journal, _) = JobJournal::open(&dir).unwrap();
             journal
                 .record(
                     "public",

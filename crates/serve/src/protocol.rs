@@ -43,7 +43,9 @@ pub const DEFAULT_TENANT: &str = "public";
 /// One campaign job as submitted over the wire. Identification fields
 /// are strings — the service validates them against the harness
 /// registry and answers with a typed [`Reject`] on anything unknown,
-/// so a stale client never crashes the server.
+/// so a stale client never crashes the server. Decoding ignores fields
+/// it does not know, such as the `tier` older clients sent: the engine
+/// picks the execution tier, which cannot change a result.
 ///
 /// [`Reject`]: Response::Rejected
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -58,10 +60,6 @@ pub struct JobSpec {
     pub scheme: String,
     /// Fault model label: `seu`, `skip`, `burst:N`.
     pub fault_model: String,
-    /// Execution tier (`match`, `threaded`), or empty for the server's
-    /// default. The retired name `threaded-nofuse` is still accepted and
-    /// runs as `threaded`.
-    pub tier: String,
     /// Requested trial count.
     pub trials: u32,
     /// Trials per chunk (streaming / early-stop / cancellation
@@ -86,7 +84,6 @@ impl JobSpec {
             bench: bench.to_string(),
             scheme: scheme.to_string(),
             fault_model: fault_model.to_string(),
-            tier: String::new(),
             trials,
             chunk: 0,
             stop: None,
@@ -142,8 +139,6 @@ pub enum ErrorKind {
     UnknownScheme,
     /// Unparseable fault-model label.
     UnknownFaultModel,
-    /// Unparseable execution-tier label.
-    UnknownTier,
     /// Zero trials, or more than the server's per-job cap.
     OversizedTrials,
     /// The bounded job queue is full — retry after the hinted delay.

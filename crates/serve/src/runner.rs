@@ -34,7 +34,7 @@ pub struct ChunkOutput {
 /// thread counts or what other jobs ran in between.
 pub trait CampaignRunner: Send + Sync + 'static {
     /// Checks the parts of `spec` only the runner can judge (bench,
-    /// scheme, fault-model and tier names). The service has already
+    /// scheme and fault-model names). The service has already
     /// checked tenant shape and trial-count bounds.
     ///
     /// # Errors

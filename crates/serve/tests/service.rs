@@ -81,9 +81,6 @@ fn validate_mock(spec: &JobSpec) -> Result<(), (ErrorKind, String)> {
             format!("no fault model {:?}", spec.fault_model),
         ));
     }
-    if !spec.tier.is_empty() && spec.tier != "t" {
-        return Err((ErrorKind::UnknownTier, format!("no tier {:?}", spec.tier)));
-    }
     Ok(())
 }
 
@@ -272,14 +269,6 @@ fn error_paths_leave_the_server_serving() {
         (
             JobSpec::new("mock", "s", "nope", 10),
             ErrorKind::UnknownFaultModel,
-        ),
-        (
-            {
-                let mut s = JobSpec::new("mock", "s", "m", 10);
-                s.tier = "warp".into();
-                s
-            },
-            ErrorKind::UnknownTier,
         ),
         (
             JobSpec::new("mock", "s", "m", 0),

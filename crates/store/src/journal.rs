@@ -82,8 +82,8 @@ impl JournalFile {
     /// # Errors
     ///
     /// I/O failure, wrong magic, or a version newer than this reader.
-    /// A *header* shorter than [`HEADER_LEN`] on a non-empty file is
-    /// `Truncated` — that is not a recoverable tail.
+    /// A *header* shorter than the fixed header length on a non-empty
+    /// file is `Truncated` — that is not a recoverable tail.
     pub fn open(path: &Path) -> Result<JournalOpen, StoreError> {
         let mut file = OpenOptions::new()
             .read(true)
