@@ -87,6 +87,15 @@ pub trait RuntimeHooks {
         let _ = seed;
         None
     }
+
+    /// Whether the hooks hold no state: every intrinsic answer depends on
+    /// its arguments alone, and a run leaves nothing behind to observe.
+    /// Only then may a run resume from a [`Checkpoint`](crate::Checkpoint)
+    /// with fresh hooks, since a checkpoint saves no hook state. Defaults
+    /// to `false`.
+    fn stateless(&self) -> bool {
+        false
+    }
 }
 
 /// Hooks for runs without a prediction runtime: version selection always
@@ -112,6 +121,10 @@ impl RuntimeHooks for NoopHooks {
             _ => IntrinsicAction::void(0),
         }
     }
+
+    fn stateless(&self) -> bool {
+        true
+    }
 }
 
 /// `&mut H` forwards, so a machine can borrow hooks owned elsewhere.
@@ -122,6 +135,10 @@ impl<H: RuntimeHooks + ?Sized> RuntimeHooks for &mut H {
 
     fn flip_runtime_state(&mut self, seed: u64) -> Option<String> {
         (**self).flip_runtime_state(seed)
+    }
+
+    fn stateless(&self) -> bool {
+        (**self).stateless()
     }
 }
 
@@ -137,6 +154,10 @@ impl<H: RuntimeHooks> RuntimeHooks for Option<H> {
 
     fn flip_runtime_state(&mut self, seed: u64) -> Option<String> {
         self.as_mut().and_then(|h| h.flip_runtime_state(seed))
+    }
+
+    fn stateless(&self) -> bool {
+        self.as_ref().is_none_or(|h| h.stateless())
     }
 }
 
@@ -170,5 +191,6 @@ mod tests {
             );
         }
         assert_eq!(none.flip_runtime_state(7), None);
+        assert!(none.stateless());
     }
 }

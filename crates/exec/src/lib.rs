@@ -33,6 +33,10 @@
 //!   (the default for every other run, observationally identical,
 //!   faster). Decodes are shared
 //!   process-wide through a content-hash cache ([`decode_cache_stats`]).
+//! * [`Checkpoint`] — a saved copy of a threaded run's clean state at an
+//!   instruction boundary ([`Machine::run_recording`]); a trial whose
+//!   fault is due after it resumes there ([`Machine::resume`]) instead of
+//!   replaying the prefix from `main`.
 
 #![deny(missing_docs)]
 
@@ -59,3 +63,4 @@ pub use machine::{
     run_simple, ExecConfig, ExecTier, Machine, RunOutcome, Termination, Trap, MAX_CALL_DEPTH,
 };
 pub use pipeline::{class_of, latency_of, latency_of_class, OpClass, Pipeline, PipelineConfig};
+pub use threaded::Checkpoint;

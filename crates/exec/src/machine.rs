@@ -18,6 +18,7 @@ use crate::fault::{
 };
 use crate::hooks::RuntimeHooks;
 use crate::pipeline::{Pipeline, PipelineConfig};
+use crate::threaded::{Checkpoint, Start};
 
 /// Why a run stopped abnormally.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -394,12 +395,64 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.run_inner(func, args, Some(trace))
     }
 
-    fn run_inner(
+    /// Runs `func` like [`Machine::run`] and saves a [`Checkpoint`] at
+    /// the first instruction boundary whose `region_retired` reaches each
+    /// of `marks` (ascending), until an armed fault takes effect. Each
+    /// checkpoint holds the clean run's state at its boundary, so
+    /// [`Machine::resume`] from it finishes exactly as this run does
+    /// when the armed fault is due only after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Machine::run`] does, and if the run would not take
+    /// the threaded tier (a timed config, or [`ExecTier::Match`]) or the
+    /// hooks are not [`RuntimeHooks::stateless`] — a checkpoint holds no
+    /// hook state.
+    pub fn run_recording(
         &mut self,
         func: &str,
         args: &[Value],
-        trace: Option<&mut Vec<TraceEntry>>,
-    ) -> RunOutcome {
+        marks: &[u64],
+    ) -> (RunOutcome, Vec<Checkpoint>) {
+        let entry = self.entry(func, args);
+        self.run_threaded(Start::Entry { entry, args }, marks)
+    }
+
+    /// Continues the run `from` was saved in, from its boundary, with this
+    /// machine's hooks and armed fault, saving checkpoints at `marks` as
+    /// [`Machine::run_recording`] does. The machine's memory is replaced
+    /// by the checkpoint's. If the armed fault is not due at or before
+    /// the checkpoint's boundary, the outcome and final memory are those
+    /// of the same run from `main`.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Machine::run_recording`] does, and if `from` was saved
+    /// on another decode.
+    pub fn resume(&mut self, from: &Checkpoint, marks: &[u64]) -> (RunOutcome, Vec<Checkpoint>) {
+        self.run_threaded(Start::Resume(from), marks)
+    }
+
+    fn run_threaded(&mut self, start: Start<'_>, marks: &[u64]) -> (RunOutcome, Vec<Checkpoint>) {
+        assert!(
+            self.config.timing.is_none() && self.config.tier == ExecTier::Threaded,
+            "checkpoints are a threaded-tier feature"
+        );
+        assert!(self.hooks.stateless(), "checkpoints need stateless hooks");
+        crate::threaded::exec_threaded(
+            self.program.get(),
+            &mut self.hooks,
+            &self.config,
+            &mut self.mem,
+            &mut self.tpool,
+            self.injection.take(),
+            start,
+            marks,
+        )
+    }
+
+    /// The index of entry function `func`, checked against `args`.
+    fn entry(&self, func: &str, args: &[Value]) -> usize {
         let prog = self.program.get();
         let entry = prog
             .function_index(func)
@@ -409,6 +462,16 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             prog.funcs[entry].n_params,
             "argument count mismatch"
         );
+        entry
+    }
+
+    fn run_inner(
+        &mut self,
+        func: &str,
+        args: &[Value],
+        trace: Option<&mut Vec<TraceEntry>>,
+    ) -> RunOutcome {
+        let entry = self.entry(func, args);
 
         // Split the borrows: the decoded program is read-only for the whole
         // run while memory, hooks and the frame pool are mutated.
@@ -426,16 +489,18 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         // what the census is defined against. Timed runs do too: the
         // reference loop holds the one pipeline timing model.
         if trace.is_none() && config.timing.is_none() && config.tier != ExecTier::Match {
-            return crate::threaded::exec_threaded(
+            let start = Start::Entry { entry, args };
+            let (outcome, _) = crate::threaded::exec_threaded(
                 program.get(),
                 hooks,
                 config,
                 mem,
                 tpool,
                 injection.take(),
-                entry,
-                args,
+                start,
+                &[],
             );
+            return outcome;
         }
         exec_loop(
             program.get(),

@@ -43,11 +43,31 @@
 //! tier's fall-through to the next instruction or next block in layout
 //! order, because flattening emits blocks in index order — and running
 //! off the end of the function's code is the same [`Trap::CodeRunoff`].
+//!
+//! **Checkpoints** ride it too. A run given region-instruction marks
+//! saves a [`Checkpoint`] — memory, the running and suspended frames,
+//! counters, prints, region depth and boundary — at the first boundary
+//! whose `region_retired` reaches each mark, at the top of the boundary
+//! before events are evaluated. Marks are fuel like a trigger, so a run
+//! that records nothing never leaves the dispatch loop for them. Saving
+//! stops once an armed fault has taken effect: until then the run's
+//! state is the clean run's, boundary for boundary, because execution is
+//! deterministic and hooks that may be resumed hold no state
+//! ([`RuntimeHooks::stateless`]). A resumed run restores that state and
+//! sets `next_check = 0`, so it evaluates events first, as the recorded
+//! run was about to. A random plan fires at the first in-region boundary
+//! with `region_retired >= trigger`, and `region_retired` never
+//! decreases, so a checkpoint whose `region_retired` is below the
+//! trigger lies before the fault: resuming from it reaches the fault
+//! boundary in exactly the state, and with exactly the counters, the
+//! run from `main` would.
+
+use std::sync::Arc;
 
 use rskip_ir::{Intrinsic, Module, Operand, Reg, Value};
 
 use crate::counters::Counters;
-use crate::decoded::{DFunc, DInst, DTerm, Decoded};
+use crate::decoded::{DFunc, DInst, DTerm, Decoded, DecodedUnit};
 use crate::fault::{
     inject_exact, inject_random, record, skip_holds_fire, ArmedFault, FaultEffect, FaultFrames,
     InjectionRecord,
@@ -120,7 +140,7 @@ pub(crate) struct TFunc {
 
 /// A call frame of the threaded tier: like the reference frame but with
 /// a flat pc instead of a (block, ip) pair.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct TFrame {
     pub(crate) func: u32,
     pub(crate) pc: u32,
@@ -136,6 +156,7 @@ pub(crate) struct TFrame {
 /// is paid only at intrinsic calls, which the reference tier pays too
 /// (they funnel into the same [`RuntimeHooks`] object).
 struct Ctx<'a> {
+    unit: &'a Arc<DecodedUnit>,
     tfuncs: &'a [TFunc],
     /// The running frame's flattened code — cached so the dispatch loop
     /// avoids re-indexing `tfuncs` every step; call/ret handlers
@@ -166,6 +187,46 @@ struct Ctx<'a> {
     state_injected: Option<String>,
     termination: Option<Termination>,
     step_limit: u64,
+    /// Region-instruction marks still to record a checkpoint at,
+    /// ascending; emptied once a fault takes effect.
+    marks: &'a [u64],
+    recorded: Vec<Checkpoint>,
+}
+
+/// A saved copy of a threaded run's state at an instruction boundary,
+/// taken before the boundary's events are evaluated: memory, the
+/// running frame, the suspended frames, counters, prints, region depth
+/// and boundary. The hooks are not part of it, so only runs whose hooks
+/// are [`RuntimeHooks::stateless`] record or resume one. See
+/// [`crate::Machine::run_recording`] and [`crate::Machine::resume`].
+pub struct Checkpoint {
+    /// The decode the state belongs to; resuming on another is refused.
+    unit: Arc<DecodedUnit>,
+    mem: Box<[Value]>,
+    frame: TFrame,
+    stack: Vec<TFrame>,
+    counters: Counters,
+    prints: Vec<Value>,
+    region_depth: u32,
+    boundary: u64,
+}
+
+impl Checkpoint {
+    /// The counters at the saved boundary: `retired` is the steps a
+    /// resumed run skips, `region_retired` orders it against triggers.
+    #[must_use]
+    pub fn counters(&self) -> &Counters {
+        &self.counters
+    }
+}
+
+/// Where a threaded run starts.
+#[derive(Clone, Copy)]
+pub(crate) enum Start<'c> {
+    /// A fresh call of function `entry` with `args`.
+    Entry { entry: usize, args: &'c [Value] },
+    /// The state saved in a checkpoint.
+    Resume(&'c Checkpoint),
 }
 
 /// Advances one instruction boundary (the per-step bookkeeping the
@@ -693,7 +754,8 @@ fn acquire(pool: &mut Vec<TFrame>, dfuncs: &[DFunc], func: usize) -> TFrame {
     fr
 }
 
-/// Runs `entry` to completion, untimed, on the threaded tier. Semantics
+/// Runs from `start` to completion, untimed, on the threaded tier,
+/// saving a checkpoint at each of `marks` (see the module docs). Semantics
 /// are byte-identical to [`crate::machine`]'s reference loop (see the
 /// module docs for the exactness argument).
 #[allow(clippy::too_many_arguments)]
@@ -704,23 +766,36 @@ pub(crate) fn exec_threaded(
     mem: &mut [Value],
     pool: &mut Vec<TFrame>,
     injection: Option<ArmedFault>,
-    entry: usize,
-    args: &[Value],
-) -> RunOutcome {
+    start: Start<'_>,
+    marks: &[u64],
+) -> (RunOutcome, Vec<Checkpoint>) {
     debug_assert!(
         config.timing.is_none(),
         "timed runs take the reference loop"
     );
     let unit = &*prog.unit;
-    let mut frame = acquire(pool, &unit.funcs, entry);
-    for (i, &a) in args.iter().enumerate() {
-        frame.regs[i] = a;
-        frame.written[i] = true;
-    }
+    let frame = match start {
+        Start::Entry { entry, args } => {
+            let mut frame = acquire(pool, &unit.funcs, entry);
+            for (i, &a) in args.iter().enumerate() {
+                frame.regs[i] = a;
+                frame.written[i] = true;
+            }
+            frame
+        }
+        Start::Resume(cp) => {
+            assert!(
+                Arc::ptr_eq(&cp.unit, &prog.unit),
+                "checkpoint resumed on another program"
+            );
+            cp.frame.clone()
+        }
+    };
 
     let mut ctx = Ctx {
+        unit: &prog.unit,
         tfuncs: &unit.threaded,
-        code: &unit.threaded[entry].code,
+        code: &unit.threaded[frame.func as usize].code,
         dfuncs: &unit.funcs,
         module: prog.module,
         global_base: &unit.global_base,
@@ -735,14 +810,25 @@ pub(crate) fn exec_threaded(
         region_depth: 0,
         boundary: 0,
         // Force an event check before the first step, mirroring the
-        // reference loop's check-first ordering.
+        // reference loop's check-first ordering (and, on resume, the
+        // recorded run's position at the top of its boundary).
         next_check: 0,
         injection,
         injected: None,
         state_injected: None,
         termination: None,
         step_limit: config.step_limit,
+        marks,
+        recorded: Vec::new(),
     };
+    if let Start::Resume(cp) = start {
+        ctx.mem.copy_from_slice(&cp.mem);
+        ctx.stack.extend(cp.stack.iter().cloned());
+        ctx.counters = cp.counters;
+        ctx.prints.clone_from(&cp.prints);
+        ctx.region_depth = cp.region_depth;
+        ctx.boundary = cp.boundary;
+    }
 
     let termination = loop {
         if ctx.boundary >= ctx.next_check {
@@ -767,16 +853,40 @@ pub(crate) fn exec_threaded(
         prints,
         injected,
         state_injected,
+        recorded,
         ..
     } = ctx;
     pool.push(frame);
     pool.append(&mut stack);
-    RunOutcome {
+    let outcome = RunOutcome {
         termination,
         counters,
         injection: injected,
         state_injection: state_injected,
         prints,
+    };
+    (outcome, recorded)
+}
+
+/// Saves a checkpoint for every mark the run's `region_retired` has
+/// reached, at the top of the boundary.
+#[cold]
+fn record_marks(ctx: &mut Ctx<'_>) {
+    while let Some((&mark, rest)) = ctx.marks.split_first() {
+        if ctx.counters.region_retired < mark {
+            break;
+        }
+        ctx.recorded.push(Checkpoint {
+            unit: Arc::clone(ctx.unit),
+            mem: ctx.mem.into(),
+            frame: ctx.frame.clone(),
+            stack: ctx.stack.clone(),
+            counters: ctx.counters,
+            prints: ctx.prints.clone(),
+            region_depth: ctx.region_depth,
+            boundary: ctx.boundary,
+        });
+        ctx.marks = rest;
     }
 }
 
@@ -784,6 +894,9 @@ pub(crate) fn exec_threaded(
 /// fuel until the next one. Returns a termination to stop on.
 #[cold]
 fn handle_events(ctx: &mut Ctx<'_>) -> Option<Termination> {
+    if !ctx.marks.is_empty() {
+        record_marks(ctx);
+    }
     if let Some(armed) = ctx.injection.take() {
         if armed.due(&ctx.counters, ctx.region_depth, ctx.boundary) {
             let at_retired = ctx.counters.retired;
@@ -822,6 +935,12 @@ fn handle_events(ctx: &mut Ctx<'_>) -> Option<Termination> {
         }
     }
 
+    // From the boundary a fault takes effect on, the state is no longer
+    // the clean run's.
+    if ctx.injected.is_some() || ctx.state_injected.is_some() {
+        ctx.marks = &[];
+    }
+
     if ctx.counters.retired >= ctx.step_limit {
         return Some(Termination::Trapped(Trap::StepLimit));
     }
@@ -830,11 +949,16 @@ fn handle_events(ctx: &mut Ctx<'_>) -> Option<Termination> {
     None
 }
 
-/// The earliest boundary at which any armed event could fire, assuming
-/// every counter advances by at most one per boundary (intrinsics, the
-/// only exception, force a re-check themselves).
+/// The earliest boundary at which any armed event or checkpoint mark
+/// could fire, assuming every counter advances by at most one per
+/// boundary (intrinsics, the only exception, force a re-check
+/// themselves).
 fn next_check(ctx: &Ctx<'_>) -> u64 {
     let mut fuel = ctx.step_limit - ctx.counters.retired;
+    if let Some(&mark) = ctx.marks.first() {
+        // `record_marks` ran at this boundary, so the mark lies ahead.
+        fuel = fuel.min(mark - ctx.counters.region_retired);
+    }
     if let Some(armed) = &ctx.injection {
         let f = match armed {
             ArmedFault::Random(plan) => {
@@ -933,4 +1057,199 @@ fn fire_skip(ctx: &mut Ctx<'_>) -> (InjectionRecord, Option<Trap>) {
     ctx.frame.pc += 1;
     let trap = (ctx.frame.pc as usize >= ctx.code.len()).then_some(Trap::CodeRunoff);
     (record, trap)
+}
+
+#[cfg(test)]
+mod tests {
+    use rskip_ir::{BinOp, CmpOp, Intrinsic, Module, ModuleBuilder, Operand, Ty, Value};
+
+    use crate::{
+        Checkpoint, ExecConfig, FaultModel, InjectionPlan, Machine, NoopHooks, RunOutcome,
+        Termination, Trap,
+    };
+
+    /// One region around a loop that calls `scale` on each cell of
+    /// `@data`, stores the result back and prints it, so checkpoints
+    /// land inside the callee (with `main` suspended) and after prints.
+    fn call_loop() -> Module {
+        let mut mb = ModuleBuilder::new("m");
+        let g = mb.global_init("data", Ty::I64, (1..=6).map(Value::I).collect());
+        let mut sc = mb.function("scale", vec![Ty::I64], Some(Ty::I64));
+        let p = sc.param(0);
+        let t = sc.bin(BinOp::Mul, Ty::I64, Operand::reg(p), Operand::imm_i(3));
+        let r = sc.bin(BinOp::Add, Ty::I64, Operand::reg(t), Operand::imm_i(1));
+        sc.ret(Some(Operand::reg(r)));
+        sc.finish();
+
+        let mut f = mb.function("main", vec![], Some(Ty::I64));
+        let (entry, header, body, exit) = (
+            f.entry_block(),
+            f.new_block("header"),
+            f.new_block("body"),
+            f.new_block("exit"),
+        );
+        let i = f.def_reg(Ty::I64, "i");
+        let acc = f.def_reg(Ty::I64, "acc");
+        f.switch_to(entry);
+        f.mov(i, Operand::imm_i(0));
+        f.mov(acc, Operand::imm_i(0));
+        f.intrinsic(Intrinsic::RegionEnter, vec![Operand::imm_i(0)]);
+        f.br(header);
+        f.switch_to(header);
+        let c = f.cmp(CmpOp::Lt, Ty::I64, Operand::reg(i), Operand::imm_i(6));
+        f.cond_br(Operand::reg(c), body, exit);
+        f.switch_to(body);
+        let addr = f.bin(BinOp::Add, Ty::I64, Operand::global(g), Operand::reg(i));
+        let v = f.load(Ty::I64, Operand::reg(addr));
+        let w = f
+            .call("scale", vec![Operand::reg(v)], Some(Ty::I64))
+            .unwrap();
+        f.store(Ty::I64, Operand::reg(addr), Operand::reg(w));
+        f.intrinsic(Intrinsic::Print, vec![Operand::reg(w)]);
+        f.bin_into(acc, BinOp::Add, Ty::I64, Operand::reg(acc), Operand::reg(w));
+        f.bin_into(i, BinOp::Add, Ty::I64, Operand::reg(i), Operand::imm_i(1));
+        f.br(header);
+        f.switch_to(exit);
+        f.intrinsic(Intrinsic::RegionExit, vec![Operand::imm_i(0)]);
+        f.ret(Some(Operand::reg(acc)));
+        f.finish();
+        mb.finish()
+    }
+
+    fn machine(m: &Module, step_limit: u64) -> Machine<'_, NoopHooks> {
+        let config = ExecConfig {
+            step_limit,
+            ..ExecConfig::default()
+        };
+        Machine::with_config(m, NoopHooks, config)
+    }
+
+    /// A checkpoint at every region instruction of a clean run.
+    fn every_mark(m: &Module, step_limit: u64) -> (RunOutcome, Vec<u64>, Vec<Checkpoint>) {
+        let mut mm = machine(m, step_limit);
+        let clean = mm.run("main", &[]);
+        let marks: Vec<u64> = (0..=clean.counters.region_retired).collect();
+        mm.reset_memory();
+        let (out, cps) = mm.run_recording("main", &[], &marks);
+        assert_eq!(out, clean, "recording does not change the run");
+        (clean, marks, cps)
+    }
+
+    #[test]
+    fn resuming_any_checkpoint_reproduces_the_clean_run() {
+        let m = call_loop();
+        let mut clean_m = machine(&m, u64::MAX);
+        let clean = clean_m.run("main", &[]);
+        let (_, marks, cps) = every_mark(&m, u64::MAX);
+        assert_eq!(cps.len(), marks.len(), "a clean run records every mark");
+        assert!(
+            cps.iter().any(|cp| !cp.stack.is_empty()),
+            "some checkpoint holds a suspended frame"
+        );
+        assert!(cps.iter().any(|cp| !cp.prints.is_empty()));
+        for (cp, &mark) in cps.iter().zip(&marks) {
+            // No intrinsic here costs anything, so every mark is reached
+            // exactly, and fuel stops the loop right there.
+            assert_eq!(cp.counters().region_retired, mark);
+            let mut resumed = machine(&m, u64::MAX);
+            let (out, more) = resumed.resume(cp, &[]);
+            assert!(more.is_empty());
+            assert_eq!(out, clean, "resumed at mark {mark}");
+            assert_eq!(resumed.memory(), clean_m.memory(), "memory at mark {mark}");
+        }
+    }
+
+    #[test]
+    fn a_resumed_run_records_the_later_marks_of_the_clean_run() {
+        let m = call_loop();
+        let (_, marks, cps) = every_mark(&m, u64::MAX);
+        let mid = marks.len() / 2;
+        let (_, later) = machine(&m, u64::MAX).resume(&cps[mid], &marks[mid + 1..]);
+        assert_eq!(later.len(), marks.len() - mid - 1);
+        for (a, b) in later.iter().zip(&cps[mid + 1..]) {
+            assert_eq!((a.counters, a.boundary), (b.counters, b.boundary));
+            assert_eq!((&a.mem, &a.prints), (&b.mem, &b.prints));
+        }
+    }
+
+    #[test]
+    fn injected_runs_resume_exactly_below_their_trigger() {
+        let m = call_loop();
+        let (_, _, cps) = every_mark(&m, u64::MAX);
+        let budget = cps.last().unwrap().counters().region_retired;
+        for model in [
+            FaultModel::SingleBitSeu,
+            FaultModel::InstructionSkip,
+            FaultModel::MultiBitBurst { width: 4 },
+        ] {
+            for trigger in 0..budget {
+                let plan = InjectionPlan {
+                    trigger,
+                    seed: trigger * 7919 + 3,
+                    model,
+                };
+                let mut direct = machine(&m, 10_000);
+                direct.set_injection(plan);
+                let want = direct.run("main", &[]);
+                // Recording stops once the fault takes effect.
+                let mut rec = machine(&m, 10_000);
+                rec.set_injection(plan);
+                let marks: Vec<u64> = (0..=budget).collect();
+                let (out, saved) = rec.run_recording("main", &[], &marks);
+                assert_eq!(out, want);
+                // (A skip held over the closing `region_exit` never fires.)
+                match want.injection {
+                    Some(_) => assert!(saved.len() < cps.len(), "recording stops at the fault"),
+                    None => assert_eq!(saved.len(), cps.len()),
+                }
+                for (a, b) in saved.iter().zip(&cps) {
+                    assert_eq!((a.counters, a.boundary), (b.counters, b.boundary));
+                    assert_eq!((&a.mem, &a.frame.regs), (&b.mem, &b.frame.regs));
+                }
+                for cp in cps
+                    .iter()
+                    .filter(|cp| cp.counters().region_retired < trigger)
+                {
+                    let mut resumed = machine(&m, 10_000);
+                    resumed.set_injection(plan);
+                    let (out, _) = resumed.resume(cp, &[]);
+                    assert_eq!(out, want, "{model:?} trigger {trigger}");
+                    assert_eq!(resumed.memory(), direct.memory());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_resumed_step_limited_run_traps_at_the_same_count() {
+        let m = call_loop();
+        let full = machine(&m, u64::MAX).run("main", &[]).counters.retired;
+        let limit = full * 2 / 3;
+        let (clean, _, cps) = every_mark(&m, limit);
+        assert_eq!(clean.termination, Termination::Trapped(Trap::StepLimit));
+        let below: Vec<&Checkpoint> = cps
+            .iter()
+            .filter(|cp| cp.counters().retired < limit)
+            .collect();
+        assert!(below.len() > 1);
+        for cp in below {
+            let (out, _) = machine(&m, limit).resume(cp, &[]);
+            assert_eq!(out, clean);
+            assert_eq!(out.counters.retired, clean.counters.retired);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stateless hooks")]
+    fn stateful_hooks_cannot_record() {
+        struct Counting(u64);
+        impl crate::RuntimeHooks for Counting {
+            fn intrinsic(&mut self, intr: Intrinsic, args: &[Value]) -> crate::IntrinsicAction {
+                self.0 += 1;
+                NoopHooks.intrinsic(intr, args)
+            }
+        }
+        let m = call_loop();
+        Machine::new(&m, Counting(0)).run_recording("main", &[], &[1]);
+    }
 }

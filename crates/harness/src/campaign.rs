@@ -12,7 +12,10 @@
 //!   sequential stream;
 //! * trial outcomes are collected by index and folded left-to-right into
 //!   [`CampaignStats`], whose merge is commutative and associative
-//!   (monoidal) anyway.
+//!   (monoidal) anyway;
+//! * a trial that resumes from a shared checkpoint of the clean run
+//!   finishes exactly as its run from `main` would (see [`Campaign`]),
+//!   so which trials happened to fill the checkpoint grid is invisible.
 //!
 //! Thread count comes from the `RAYON_NUM_THREADS` environment variable
 //! when set (the conventional knob, honored even though the pool is
@@ -23,12 +26,15 @@
 //! [`rskip_core::parallel`] so every layer shares one implementation;
 //! the utilities are re-exported here for compatibility.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use rskip_exec::{
-    classify_outcome, Counters, Decoded, ExactFault, ExactFaultKind, ExecConfig, FaultModel,
-    InjectionPlan, Machine, RuntimeHooks,
+    classify_outcome, Checkpoint, Counters, Decoded, ExactFault, ExactFaultKind, ExecConfig,
+    ExecTier, FaultModel, InjectionPlan, Machine, RunOutcome, RuntimeHooks,
 };
 use rskip_ir::{Module, Value};
 use rskip_workloads::InputSet;
@@ -54,14 +60,27 @@ pub fn trial_seed(seed0: u64, trial: u32) -> u64 {
 
 pub use rskip_core::parallel::{num_threads, parallel_map_indexed, parallel_map_into};
 
+/// Checkpoints of the clean run a campaign keeps: one per
+/// `region_budget / CHECKPOINTS` region instructions (rounded up).
+const CHECKPOINTS: u64 = 8;
+
 /// A statistical fault-injection campaign over one protected build.
 ///
 /// Construction decodes the module once and performs one clean
 /// (injection-free) run to measure the region-instruction budget — the
 /// sampling space for injection instants — and the hang threshold. Every
 /// trial then shares the decode, the input, the golden output and the
-/// [`ExecConfig`]; per-trial state is only the machine, the hooks and the
+/// [`ExecConfig`]; each trial has its own machine, hooks and
 /// split-seeded plan.
+///
+/// Trials also share a grid of [`Checkpoint`]s of the clean run, one
+/// per `region_budget / 8` region instructions. A random trial with
+/// [`RuntimeHooks::stateless`] hooks on the threaded tier starts from the
+/// last grid checkpoint below its trigger instead of from `main`, and
+/// saves the missing grid points its own clean prefix passes. Up to the
+/// trigger a trial is the clean run, so its outcome is the same either
+/// way ([`Checkpoint`] has the argument); [`Campaign::fast_forward`]
+/// counts what it saved.
 pub struct Campaign<'m> {
     decoded: Decoded<'m>,
     input: &'m InputSet,
@@ -72,6 +91,21 @@ pub struct Campaign<'m> {
     seed0: u64,
     trials: u32,
     model: FaultModel,
+    /// Grid point `k` is saved at region instruction
+    /// `(k + 1) * checkpoint_step()`; the grid is contiguous from 0.
+    checkpoints: Mutex<Vec<Arc<Checkpoint>>>,
+    resumed: AtomicU64,
+    skipped_steps: AtomicU64,
+}
+
+/// What checkpoints saved a campaign's trials so far.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FastForward {
+    /// Trials that resumed from a checkpoint instead of `main`.
+    pub resumed: u64,
+    /// Steps those trials did not execute: the sum of their
+    /// checkpoints' retired instructions.
+    pub skipped_steps: u64,
 }
 
 impl<'m> Campaign<'m> {
@@ -145,6 +179,9 @@ impl<'m> Campaign<'m> {
             seed0,
             trials,
             model: FaultModel::SingleBitSeu,
+            checkpoints: Mutex::new(Vec::new()),
+            resumed: AtomicU64::new(0),
+            skipped_steps: AtomicU64::new(0),
         }
     }
 
@@ -170,7 +207,8 @@ impl<'m> Campaign<'m> {
     /// Selects the execution tier for every subsequent trial (the tiers
     /// are observationally identical, so this changes throughput only).
     /// Defaults to [`rskip_exec::ExecTier::Threaded`]; tests and the
-    /// throughput bench pin [`rskip_exec::ExecTier::Match`] here.
+    /// throughput bench pin [`rskip_exec::ExecTier::Match`] here. Trials
+    /// on `Match` never resume from a checkpoint.
     pub fn set_tier(&mut self, tier: rskip_exec::ExecTier) {
         self.config.tier = tier;
     }
@@ -204,9 +242,19 @@ impl<'m> Campaign<'m> {
         }
     }
 
+    /// What checkpoints saved this campaign's trials so far.
+    #[must_use]
+    pub fn fast_forward(&self) -> FastForward {
+        FastForward {
+            resumed: self.resumed.load(Ordering::Relaxed),
+            skipped_steps: self.skipped_steps.load(Ordering::Relaxed),
+        }
+    }
+
     /// Runs one trial and classifies it. `observe_recoveries` reads the
     /// scheme's recovery counter off the hooks after the run (return 0
-    /// for schemes without explicit recovery).
+    /// for schemes without explicit recovery). `make_hooks` is called
+    /// once.
     pub fn run_trial<H: RuntimeHooks>(
         &self,
         trial: u32,
@@ -214,7 +262,74 @@ impl<'m> Campaign<'m> {
         observe_recoveries: impl Fn(&H) -> u64,
     ) -> TrialOutcome {
         let plan = self.plan(trial);
-        self.trial(make_hooks, |m| m.set_injection(plan), observe_recoveries)
+        let hooks = make_hooks();
+        if hooks.stateless() && self.config.tier == ExecTier::Threaded {
+            return self.trial(
+                hooks,
+                |m| self.run_from_checkpoint(m, plan),
+                observe_recoveries,
+            );
+        }
+        let run = |m: &mut Machine<'_, H>| {
+            m.set_injection(plan);
+            m.run("main", &[])
+        };
+        self.trial(hooks, run, observe_recoveries)
+    }
+
+    /// Region instructions between two grid checkpoints.
+    fn checkpoint_step(&self) -> u64 {
+        self.region_budget.div_ceil(CHECKPOINTS)
+    }
+
+    /// Runs `plan` from the last grid checkpoint below its trigger (or
+    /// from `main`), saving the grid points missing below the trigger.
+    fn run_from_checkpoint<H: RuntimeHooks>(
+        &self,
+        machine: &mut Machine<'_, H>,
+        plan: InjectionPlan,
+    ) -> RunOutcome {
+        let (from, below, saved) = {
+            let grid = self
+                .checkpoints
+                .lock()
+                .expect("no trial panics holding the checkpoint grid");
+            let below = grid.partition_point(|cp| cp.counters().region_retired < plan.trigger);
+            let from = below.checked_sub(1).map(|i| Arc::clone(&grid[i]));
+            (from, below, grid.len())
+        };
+        // A missing point is below the trigger only if every saved one
+        // is; recording from the end keeps the grid contiguous.
+        let step = self.checkpoint_step();
+        let marks: Vec<u64> = if below == saved {
+            (saved as u64 + 1..)
+                .map(|k| k * step)
+                .take_while(|&mark| mark < plan.trigger)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        machine.set_injection(plan);
+        let (out, recorded) = match &from {
+            Some(cp) => {
+                self.resumed.fetch_add(1, Ordering::Relaxed);
+                self.skipped_steps
+                    .fetch_add(cp.counters().retired, Ordering::Relaxed);
+                machine.resume(cp, &marks)
+            }
+            None => machine.run_recording("main", &[], &marks),
+        };
+        if !recorded.is_empty() {
+            // Another trial may have appended some of the same points
+            // meanwhile; they are the same clean states.
+            let mut grid = self
+                .checkpoints
+                .lock()
+                .expect("no trial panics holding the checkpoint grid");
+            let have = grid.len() - saved;
+            grid.extend(recorded.into_iter().skip(have).map(Arc::new));
+        }
+        out
     }
 
     /// Runs one *runtime-state* trial: the trial's [`plan`] trigger and
@@ -232,11 +347,11 @@ impl<'m> Campaign<'m> {
         observe_detections: impl Fn(&H) -> u64,
     ) -> TrialOutcome {
         let plan = self.plan(trial);
-        self.trial(
-            make_hooks,
-            |m| m.set_runtime_state_flip(plan.trigger, plan.seed),
-            observe_detections,
-        )
+        let run = |m: &mut Machine<'_, H>| {
+            m.set_runtime_state_flip(plan.trigger, plan.seed);
+            m.run("main", &[])
+        };
+        self.trial(make_hooks(), run, observe_detections)
     }
 
     /// Runs one trial with `fault` armed exactly — one probe of the
@@ -247,21 +362,25 @@ impl<'m> Campaign<'m> {
         make_hooks: impl Fn() -> H,
         observe_recoveries: impl Fn(&H) -> u64,
     ) -> TrialOutcome {
-        self.trial(make_hooks, |m| m.set_exact_fault(fault), observe_recoveries)
+        let run = |m: &mut Machine<'_, H>| {
+            m.set_exact_fault(fault);
+            m.run("main", &[])
+        };
+        self.trial(make_hooks(), run, observe_recoveries)
     }
 
-    /// The one trial path: a machine over the shared decode with fresh
-    /// hooks and the campaign's input, `arm`ed, run and classified.
+    /// The one trial path: a machine over the shared decode with the
+    /// trial's hooks and the campaign's input, armed and `run` by `run`,
+    /// and classified.
     fn trial<'s, H: RuntimeHooks>(
         &'s self,
-        make_hooks: impl Fn() -> H,
-        arm: impl FnOnce(&mut Machine<'s, H>),
+        hooks: H,
+        run: impl FnOnce(&mut Machine<'s, H>) -> RunOutcome,
         observe: impl Fn(&H) -> u64,
     ) -> TrialOutcome {
-        let mut machine = Machine::from_decoded(&self.decoded, make_hooks(), self.config.clone());
+        let mut machine = Machine::from_decoded(&self.decoded, hooks, self.config.clone());
         self.input.apply(&mut machine);
-        arm(&mut machine);
-        let out = machine.run("main", &[]);
+        let out = run(&mut machine);
         TrialOutcome {
             class: classify_outcome(&out, machine.read_global(self.output), self.golden),
             recovered: observe(machine.hooks()) > 0,
