@@ -6,7 +6,14 @@
 //! prediction model: how the runtime cascades its predictors
 //! (`rskip-runtime`'s region state) is invisible at this interface.
 
+use std::any::Any;
+
 use rskip_ir::{Intrinsic, Value};
+
+/// A saved copy of hook state, as a [`Checkpoint`](crate::Checkpoint)
+/// carries it: type-erased, and shareable across the trials that resume
+/// from the checkpoint. Hooks without state save `()`.
+pub type HookState = Box<dyn Any + Send + Sync>;
 
 /// What an intrinsic call produced.
 ///
@@ -88,12 +95,29 @@ pub trait RuntimeHooks {
         None
     }
 
-    /// Whether the hooks hold no state: every intrinsic answer depends on
-    /// its arguments alone, and a run leaves nothing behind to observe.
-    /// Only then may a run resume from a [`Checkpoint`](crate::Checkpoint)
-    /// with fresh hooks, since a checkpoint saves no hook state. Defaults
-    /// to `false`.
-    fn stateless(&self) -> bool {
+    /// Saves a copy of the hooks' state for a
+    /// [`Checkpoint`](crate::Checkpoint), or `None` when the hooks
+    /// cannot be resumed (the default). A run that resumes from the
+    /// checkpoint hands this copy to [`restore_state`] of its own hooks,
+    /// so the copy must hold everything later intrinsic answers depend
+    /// on.
+    ///
+    /// [`restore_state`]: RuntimeHooks::restore_state
+    fn save_state(&self) -> Option<HookState> {
+        None
+    }
+
+    /// Replaces the hooks' state with `state`, which [`save_state`]
+    /// returned at a checkpoint of another run, and returns `true`.
+    /// Returns `false`, leaving the hooks unchanged, for a state these
+    /// hooks would not have saved at that point of their own run: one
+    /// of another type, or saved by hooks built differently (another
+    /// configuration or model). Hooks that cannot be resumed refuse
+    /// every state (the default).
+    ///
+    /// [`save_state`]: RuntimeHooks::save_state
+    fn restore_state(&mut self, state: &(dyn Any + Send + Sync)) -> bool {
+        let _ = state;
         false
     }
 }
@@ -122,8 +146,12 @@ impl RuntimeHooks for NoopHooks {
         }
     }
 
-    fn stateless(&self) -> bool {
-        true
+    fn save_state(&self) -> Option<HookState> {
+        Some(Box::new(()))
+    }
+
+    fn restore_state(&mut self, state: &(dyn Any + Send + Sync)) -> bool {
+        state.is::<()>()
     }
 }
 
@@ -137,8 +165,12 @@ impl<H: RuntimeHooks + ?Sized> RuntimeHooks for &mut H {
         (**self).flip_runtime_state(seed)
     }
 
-    fn stateless(&self) -> bool {
-        (**self).stateless()
+    fn save_state(&self) -> Option<HookState> {
+        (**self).save_state()
+    }
+
+    fn restore_state(&mut self, state: &(dyn Any + Send + Sync)) -> bool {
+        (**self).restore_state(state)
     }
 }
 
@@ -156,8 +188,18 @@ impl<H: RuntimeHooks> RuntimeHooks for Option<H> {
         self.as_mut().and_then(|h| h.flip_runtime_state(seed))
     }
 
-    fn stateless(&self) -> bool {
-        self.as_ref().is_none_or(|h| h.stateless())
+    fn save_state(&self) -> Option<HookState> {
+        match self {
+            Some(h) => h.save_state(),
+            None => NoopHooks.save_state(),
+        }
+    }
+
+    fn restore_state(&mut self, state: &(dyn Any + Send + Sync)) -> bool {
+        match self {
+            Some(h) => h.restore_state(state),
+            None => NoopHooks.restore_state(state),
+        }
     }
 }
 
@@ -191,6 +233,8 @@ mod tests {
             );
         }
         assert_eq!(none.flip_runtime_state(7), None);
-        assert!(none.stateless());
+        let empty = none.save_state().expect("absent hooks can be resumed");
+        assert!(none.restore_state(&*empty));
+        assert!(!none.restore_state(&7u32));
     }
 }

@@ -34,9 +34,10 @@
 //!   faster). Decodes are shared
 //!   process-wide through a content-hash cache ([`decode_cache_stats`]).
 //! * [`Checkpoint`] — a saved copy of a threaded run's clean state at an
-//!   instruction boundary ([`Machine::run_recording`]); a trial whose
-//!   fault is due after it resumes there ([`Machine::resume`]) instead of
-//!   replaying the prefix from `main`.
+//!   instruction boundary ([`Machine::run_recording`]), the hooks' state
+//!   included ([`HookState`]); a trial whose fault is due after it
+//!   resumes there ([`Machine::resume`]) instead of replaying the prefix
+//!   from `main`.
 
 #![deny(missing_docs)]
 
@@ -58,7 +59,7 @@ pub use fault::{
     classify_outcome, skip_holds_fire, ExactFault, ExactFaultKind, FaultEffect, FaultModel,
     InjectionPlan, InjectionRecord, OutcomeClass,
 };
-pub use hooks::{IntrinsicAction, NoopHooks, RuntimeHooks};
+pub use hooks::{HookState, IntrinsicAction, NoopHooks, RuntimeHooks};
 pub use machine::{
     run_simple, ExecConfig, ExecTier, Machine, RunOutcome, Termination, Trap, MAX_CALL_DEPTH,
 };

@@ -404,10 +404,10 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     ///
     /// # Panics
     ///
-    /// Panics as [`Machine::run`] does, and if the run would not take
-    /// the threaded tier (a timed config, or [`ExecTier::Match`]) or the
-    /// hooks are not [`RuntimeHooks::stateless`] — a checkpoint holds no
-    /// hook state.
+    /// Panics as [`Machine::run`] does, if the run would not take the
+    /// threaded tier (a timed config, or [`ExecTier::Match`]), and if it
+    /// reaches a mark with hooks that cannot be resumed
+    /// ([`RuntimeHooks::save_state`] returns `None`).
     pub fn run_recording(
         &mut self,
         func: &str,
@@ -421,16 +421,28 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// Continues the run `from` was saved in, from its boundary, with this
     /// machine's hooks and armed fault, saving checkpoints at `marks` as
     /// [`Machine::run_recording`] does. The machine's memory is replaced
-    /// by the checkpoint's. If the armed fault is not due at or before
-    /// the checkpoint's boundary, the outcome and final memory are those
-    /// of the same run from `main`.
+    /// by the checkpoint's, and its hooks' state by the saved one
+    /// ([`RuntimeHooks::restore_state`]). If the armed fault is not due
+    /// at or before the checkpoint's boundary, the outcome, final memory
+    /// and final hook state are those of the same run from `main`.
+    ///
+    /// Returns `None`, running nothing and leaving the machine as it
+    /// was, when the hooks refuse the saved state: they cannot be
+    /// resumed, or were built differently from the hooks that saved it.
     ///
     /// # Panics
     ///
     /// Panics as [`Machine::run_recording`] does, and if `from` was saved
     /// on another decode.
-    pub fn resume(&mut self, from: &Checkpoint, marks: &[u64]) -> (RunOutcome, Vec<Checkpoint>) {
-        self.run_threaded(Start::Resume(from), marks)
+    pub fn resume(
+        &mut self,
+        from: &Checkpoint,
+        marks: &[u64],
+    ) -> Option<(RunOutcome, Vec<Checkpoint>)> {
+        if !self.hooks.restore_state(&*from.hooks) {
+            return None;
+        }
+        Some(self.run_threaded(Start::Resume(from), marks))
     }
 
     fn run_threaded(&mut self, start: Start<'_>, marks: &[u64]) -> (RunOutcome, Vec<Checkpoint>) {
@@ -438,7 +450,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             self.config.timing.is_none() && self.config.tier == ExecTier::Threaded,
             "checkpoints are a threaded-tier feature"
         );
-        assert!(self.hooks.stateless(), "checkpoints need stateless hooks");
         crate::threaded::exec_threaded(
             self.program.get(),
             &mut self.hooks,

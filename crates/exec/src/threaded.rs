@@ -46,19 +46,23 @@
 //!
 //! **Checkpoints** ride it too. A run given region-instruction marks
 //! saves a [`Checkpoint`] — memory, the running and suspended frames,
-//! counters, prints, region depth and boundary — at the first boundary
-//! whose `region_retired` reaches each mark, at the top of the boundary
+//! counters, prints, region depth, boundary and a copy of the hooks'
+//! state ([`RuntimeHooks::save_state`]) — at the first boundary whose
+//! `region_retired` reaches each mark, at the top of the boundary
 //! before events are evaluated. Marks are fuel like a trigger, so a run
 //! that records nothing never leaves the dispatch loop for them. Saving
 //! stops once an armed fault has taken effect: until then the run's
-//! state is the clean run's, boundary for boundary, because execution is
-//! deterministic and hooks that may be resumed hold no state
-//! ([`RuntimeHooks::stateless`]). A resumed run restores that state and
-//! sets `next_check = 0`, so it evaluates events first, as the recorded
-//! run was about to. A random plan fires at the first in-region boundary
-//! with `region_retired >= trigger`, and `region_retired` never
-//! decreases, so a checkpoint whose `region_retired` is below the
-//! trigger lies before the fault: resuming from it reaches the fault
+//! state, the hooks' included, is the clean run's, boundary for
+//! boundary, because execution and the hooks are deterministic. A
+//! resumed run restores that state — the hooks' through
+//! [`RuntimeHooks::restore_state`], which refuses a state that hooks
+//! built differently saved, so a run only resumes where its own hooks
+//! would have reached the same state — and sets `next_check = 0`, so it
+//! evaluates events first, as the recorded run was about to. A random
+//! plan fires at the first in-region boundary with
+//! `region_retired >= trigger`, and `region_retired` never decreases,
+//! so a checkpoint whose `region_retired` is below the trigger lies
+//! before the fault: resuming from it reaches the fault
 //! boundary in exactly the state, and with exactly the counters, the
 //! run from `main` would.
 
@@ -72,7 +76,7 @@ use crate::fault::{
     inject_exact, inject_random, record, skip_holds_fire, ArmedFault, FaultEffect, FaultFrames,
     InjectionRecord,
 };
-use crate::hooks::RuntimeHooks;
+use crate::hooks::{HookState, RuntimeHooks};
 use crate::machine::{un_op, ExecConfig, RunOutcome, Termination, Trap, MAX_CALL_DEPTH};
 
 /// One per-step handler. Executes the step, updates counters/pc, and says
@@ -195,9 +199,11 @@ struct Ctx<'a> {
 
 /// A saved copy of a threaded run's state at an instruction boundary,
 /// taken before the boundary's events are evaluated: memory, the
-/// running frame, the suspended frames, counters, prints, region depth
-/// and boundary. The hooks are not part of it, so only runs whose hooks
-/// are [`RuntimeHooks::stateless`] record or resume one. See
+/// running frame, the suspended frames, counters, prints, region depth,
+/// boundary, and the hooks' own state ([`RuntimeHooks::save_state`]).
+/// Only runs whose hooks can be resumed record one, and a resumed run
+/// restores the saved hook state into its own hooks, which may refuse
+/// it ([`RuntimeHooks::restore_state`]). See
 /// [`crate::Machine::run_recording`] and [`crate::Machine::resume`].
 pub struct Checkpoint {
     /// The decode the state belongs to; resuming on another is refused.
@@ -209,6 +215,7 @@ pub struct Checkpoint {
     prints: Vec<Value>,
     region_depth: u32,
     boundary: u64,
+    pub(crate) hooks: HookState,
 }
 
 impl Checkpoint {
@@ -885,6 +892,10 @@ fn record_marks(ctx: &mut Ctx<'_>) {
             prints: ctx.prints.clone(),
             region_depth: ctx.region_depth,
             boundary: ctx.boundary,
+            hooks: ctx
+                .hooks
+                .save_state()
+                .expect("checkpoints need resumable hooks"),
         });
         ctx.marks = rest;
     }
@@ -1152,7 +1163,7 @@ mod tests {
             // exactly, and fuel stops the loop right there.
             assert_eq!(cp.counters().region_retired, mark);
             let mut resumed = machine(&m, u64::MAX);
-            let (out, more) = resumed.resume(cp, &[]);
+            let (out, more) = resumed.resume(cp, &[]).expect("no-op hooks resume");
             assert!(more.is_empty());
             assert_eq!(out, clean, "resumed at mark {mark}");
             assert_eq!(resumed.memory(), clean_m.memory(), "memory at mark {mark}");
@@ -1164,7 +1175,9 @@ mod tests {
         let m = call_loop();
         let (_, marks, cps) = every_mark(&m, u64::MAX);
         let mid = marks.len() / 2;
-        let (_, later) = machine(&m, u64::MAX).resume(&cps[mid], &marks[mid + 1..]);
+        let (_, later) = machine(&m, u64::MAX)
+            .resume(&cps[mid], &marks[mid + 1..])
+            .expect("no-op hooks resume");
         assert_eq!(later.len(), marks.len() - mid - 1);
         for (a, b) in later.iter().zip(&cps[mid + 1..]) {
             assert_eq!((a.counters, a.boundary), (b.counters, b.boundary));
@@ -1212,7 +1225,7 @@ mod tests {
                 {
                     let mut resumed = machine(&m, 10_000);
                     resumed.set_injection(plan);
-                    let (out, _) = resumed.resume(cp, &[]);
+                    let (out, _) = resumed.resume(cp, &[]).expect("no-op hooks resume");
                     assert_eq!(out, want, "{model:?} trigger {trigger}");
                     assert_eq!(resumed.memory(), direct.memory());
                 }
@@ -1233,23 +1246,64 @@ mod tests {
             .collect();
         assert!(below.len() > 1);
         for cp in below {
-            let (out, _) = machine(&m, limit).resume(cp, &[]);
+            let (out, _) = machine(&m, limit)
+                .resume(cp, &[])
+                .expect("no-op hooks resume");
             assert_eq!(out, clean);
             assert_eq!(out.counters.retired, clean.counters.retired);
         }
     }
 
+    /// Hooks whose state is the number of intrinsic calls they answered.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Counting(u64);
+
+    impl crate::RuntimeHooks for Counting {
+        fn intrinsic(&mut self, intr: Intrinsic, args: &[Value]) -> crate::IntrinsicAction {
+            self.0 += 1;
+            NoopHooks.intrinsic(intr, args)
+        }
+
+        fn save_state(&self) -> Option<crate::HookState> {
+            Some(Box::new(*self))
+        }
+
+        fn restore_state(&mut self, state: &(dyn std::any::Any + Send + Sync)) -> bool {
+            state.downcast_ref().map(|&saved| *self = saved).is_some()
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "stateless hooks")]
+    fn resumed_hooks_end_in_the_state_of_the_run_from_main() {
+        let m = call_loop();
+        let mut from_main = Machine::new(&m, Counting(0));
+        let clean = from_main.run("main", &[]);
+        let marks: Vec<u64> = (0..=clean.counters.region_retired).collect();
+        let (_, cps) = Machine::new(&m, Counting(0)).run_recording("main", &[], &marks);
+        assert_eq!(cps.len(), marks.len());
+        for cp in &cps {
+            let mut resumed = Machine::new(&m, Counting(0));
+            let (out, _) = resumed.resume(cp, &[]).expect("counting hooks resume");
+            assert_eq!(out, clean);
+            assert_eq!(resumed.hooks(), from_main.hooks());
+        }
+        // Hooks of another type refuse the saved state and run nothing.
+        let mut other = machine(&m, u64::MAX);
+        assert!(other.resume(&cps[1], &[]).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "resumable hooks")]
     fn stateful_hooks_cannot_record() {
-        struct Counting(u64);
-        impl crate::RuntimeHooks for Counting {
+        /// Counts intrinsic calls but cannot save that count.
+        struct Unsaved(u64);
+        impl crate::RuntimeHooks for Unsaved {
             fn intrinsic(&mut self, intr: Intrinsic, args: &[Value]) -> crate::IntrinsicAction {
                 self.0 += 1;
                 NoopHooks.intrinsic(intr, args)
             }
         }
         let m = call_loop();
-        Machine::new(&m, Counting(0)).run_recording("main", &[], &[1]);
+        Machine::new(&m, Unsaved(0)).run_recording("main", &[], &[1]);
     }
 }

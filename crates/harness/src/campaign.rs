@@ -74,13 +74,17 @@ const CHECKPOINTS: u64 = 8;
 /// split-seeded plan.
 ///
 /// Trials also share a grid of [`Checkpoint`]s of the clean run, one
-/// per `region_budget / 8` region instructions. A random trial with
-/// [`RuntimeHooks::stateless`] hooks on the threaded tier starts from the
-/// last grid checkpoint below its trigger instead of from `main`, and
-/// saves the missing grid points its own clean prefix passes. Up to the
-/// trigger a trial is the clean run, so its outcome is the same either
-/// way ([`Checkpoint`] has the argument); [`Campaign::fast_forward`]
-/// counts what it saved.
+/// per `region_budget / 8` region instructions, each holding the hooks'
+/// state too ([`RuntimeHooks::save_state`]). A random trial on the
+/// threaded tier starts from the last grid checkpoint below its trigger
+/// instead of from `main`, with the saved hook state restored into its
+/// fresh hooks, and saves the missing grid points its own clean prefix
+/// passes. Up to the trigger a trial is the clean run, hooks included,
+/// so its outcome is the same either way ([`Checkpoint`] has the
+/// argument); [`Campaign::fast_forward`] counts what it saved. Hooks
+/// refuse a state that hooks built differently saved
+/// ([`RuntimeHooks::restore_state`]), and such a trial runs from
+/// `main`, so one campaign driven with two hooks factories stays exact.
 pub struct Campaign<'m> {
     decoded: Decoded<'m>,
     input: &'m InputSet,
@@ -254,7 +258,7 @@ impl<'m> Campaign<'m> {
     /// Runs one trial and classifies it. `observe_recoveries` reads the
     /// scheme's recovery counter off the hooks after the run (return 0
     /// for schemes without explicit recovery). `make_hooks` is called
-    /// once.
+    /// once, and must return hooks in the state their build gives them.
     pub fn run_trial<H: RuntimeHooks>(
         &self,
         trial: u32,
@@ -263,7 +267,7 @@ impl<'m> Campaign<'m> {
     ) -> TrialOutcome {
         let plan = self.plan(trial);
         let hooks = make_hooks();
-        if hooks.stateless() && self.config.tier == ExecTier::Threaded {
+        if self.config.tier == ExecTier::Threaded {
             return self.trial(
                 hooks,
                 |m| self.run_from_checkpoint(m, plan),
@@ -284,6 +288,9 @@ impl<'m> Campaign<'m> {
 
     /// Runs `plan` from the last grid checkpoint below its trigger (or
     /// from `main`), saving the grid points missing below the trigger.
+    /// A trial whose hooks refuse the checkpoint's hook state (hooks
+    /// built differently from the ones that saved it) runs from `main`
+    /// and saves nothing; so do hooks that cannot be resumed.
     fn run_from_checkpoint<H: RuntimeHooks>(
         &self,
         machine: &mut Machine<'_, H>,
@@ -311,17 +318,25 @@ impl<'m> Campaign<'m> {
         };
         machine.set_injection(plan);
         let (out, recorded) = match &from {
-            Some(cp) => {
-                self.resumed.fetch_add(1, Ordering::Relaxed);
-                self.skipped_steps
-                    .fetch_add(cp.counters().retired, Ordering::Relaxed);
-                machine.resume(cp, &marks)
+            Some(cp) => match machine.resume(cp, &marks) {
+                Some(run) => {
+                    self.resumed.fetch_add(1, Ordering::Relaxed);
+                    self.skipped_steps
+                        .fetch_add(cp.counters().retired, Ordering::Relaxed);
+                    run
+                }
+                None => return machine.run("main", &[]),
+            },
+            // With an empty grid, only hooks that can be resumed record.
+            None if !marks.is_empty() && machine.hooks().save_state().is_some() => {
+                machine.run_recording("main", &[], &marks)
             }
-            None => machine.run_recording("main", &[], &marks),
+            None => return machine.run("main", &[]),
         };
         if !recorded.is_empty() {
             // Another trial may have appended some of the same points
-            // meanwhile; they are the same clean states.
+            // meanwhile; they are the same clean states, and restores
+            // check whose hooks saved them.
             let mut grid = self
                 .checkpoints
                 .lock()

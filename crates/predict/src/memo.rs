@@ -14,6 +14,8 @@
 //!    until the level budget is met. Dense regions of the input
 //!    distribution get finer levels.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the memoization trainer.
@@ -178,11 +180,16 @@ pub struct MemoStats {
 }
 
 /// A trained approximate-memoization table.
+///
+/// Clones share the lookup table copy-on-write: a clone costs a pointer
+/// copy, and the two writers — the training build and
+/// [`corrupt_table_bit`](Self::corrupt_table_bit) — go through
+/// [`Arc::make_mut`], so a write never reaches another memoizer's table.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Memoizer {
     quantizers: Vec<Quantizer>,
     bits: Vec<u32>,
-    table: Vec<Option<f64>>,
+    table: Arc<Vec<Option<f64>>>,
     stats: MemoStats,
 }
 
@@ -242,9 +249,18 @@ impl Memoizer {
         Ok(Memoizer {
             quantizers,
             bits,
-            table,
+            table: Arc::new(table),
             stats: MemoStats::default(),
         })
+    }
+
+    /// Whether `other` predicts with this memoizer's very table: the same
+    /// quantizers and bits, and the same shared table allocation.
+    /// Statistics are not compared.
+    pub fn shares_table(&self, other: &Memoizer) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
+            && self.bits == other.bits
+            && self.quantizers == other.quantizers
     }
 
     /// Lookup statistics.
@@ -310,8 +326,9 @@ impl Memoizer {
         }
         let idx = populated[(seed as usize) % populated.len()];
         let bit = ((seed >> 32) % 64) as u32;
-        let v = self.table[idx].expect("entry is populated");
-        self.table[idx] = Some(f64::from_bits(v.to_bits() ^ (1u64 << bit)));
+        let entry = &mut Arc::make_mut(&mut self.table)[idx];
+        let v = entry.expect("entry is populated");
+        *entry = Some(f64::from_bits(v.to_bits() ^ (1u64 << bit)));
         Some(format!("memo[{idx}] bit {bit}"))
     }
 
@@ -478,7 +495,7 @@ impl MemoTrainer {
         let mut memo = Memoizer {
             quantizers,
             bits: bits.to_vec(),
-            table: vec![None; 1usize << total_bits],
+            table: Arc::new(vec![None; 1usize << total_bits]),
             stats: MemoStats::default(),
         };
         for (inputs, output) in &self.samples {
@@ -486,9 +503,10 @@ impl MemoTrainer {
             sums[idx] += output;
             counts[idx] += 1;
         }
+        let table = Arc::make_mut(&mut memo.table);
         for (i, (&s, &c)) in sums.iter().zip(counts.iter()).enumerate() {
             if c > 0 {
-                memo.table[i] = Some(s / c as f64);
+                table[i] = Some(s / c as f64);
             }
         }
         memo

@@ -213,6 +213,8 @@ pub struct RegionState {
     pending: VecDeque<Obs>,
     current: Option<Obs>,
     qos: QosTable,
+    /// The TP installed with `qos`; DI's own TP moves with the context.
+    default_tp: f64,
     tick_period: u64,
     since_tick: u64,
     elements: u64,
@@ -248,6 +250,7 @@ impl RegionState {
             pending: VecDeque::new(),
             current: None,
             qos: QosTable::new(),
+            default_tp: di_config.tp,
             tick_period,
             since_tick: 0,
             elements: 0,
@@ -307,7 +310,22 @@ impl RegionState {
     /// Installs a trained QoS table and starting TP.
     pub fn set_qos(&mut self, qos: QosTable, default_tp: f64) {
         self.qos = qos;
+        self.default_tp = default_tp;
         self.di.set_tp(default_tp);
+    }
+
+    /// Whether `other` had the same trained model installed: the same
+    /// QoS table and starting TP, and a memoizer over the very same
+    /// table. What else a region is built from — DI configuration,
+    /// supervisor, hardening — comes from the runtime's configuration.
+    pub(crate) fn same_model(&self, other: &RegionState) -> bool {
+        self.qos == other.qos
+            && self.default_tp.to_bits() == other.default_tp.to_bits()
+            && match (&self.memo, &other.memo) {
+                (None, None) => true,
+                (Some(a), Some(b)) => a.memo.shares_table(&b.memo),
+                _ => false,
+            }
     }
 
     /// Current counters.

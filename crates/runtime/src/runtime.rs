@@ -1,7 +1,9 @@
 //! The intrinsic handler wiring region state to the execution substrate.
 
+use std::any::Any;
+
 use rskip_core::RegionPlan;
-use rskip_exec::{IntrinsicAction, RuntimeHooks};
+use rskip_exec::{HookState, IntrinsicAction, RuntimeHooks};
 use rskip_ir::{Intrinsic, Value};
 use rskip_predict::DiConfig;
 
@@ -175,7 +177,9 @@ impl PredictionRuntime {
 
     /// Creates a runtime and installs a trained model (QoS tables and
     /// memoizers). The runtime copies what it needs, so one model serves
-    /// any number of runtimes (a campaign builds one per trial).
+    /// any number of runtimes (a campaign builds one per trial); memo
+    /// tables are shared with the model, copy-on-write, so the copy is
+    /// cheap.
     pub fn with_model(regions: &[RegionInit], config: RuntimeConfig, model: &TrainedModel) -> Self {
         let mut rt = Self::new(regions, config);
         rt.install(model);
@@ -258,6 +262,22 @@ impl PredictionRuntime {
     /// picks the class).
     pub fn set_state_fault_target(&mut self, target: Option<StateFaultTarget>) {
         self.state_fault_target = target;
+    }
+
+    /// Whether `other` was built as this runtime was: the same region
+    /// plans, configuration and state-fault target, and per region the
+    /// same installed model. Two runtimes built alike and driven by the
+    /// same intrinsic calls end in the same state.
+    fn same_build(&self, other: &PredictionRuntime) -> bool {
+        self.config == other.config
+            && self.inits == other.inits
+            && self.state_fault_target == other.state_fault_target
+            && self.regions.len() == other.regions.len()
+            && self
+                .regions
+                .iter()
+                .zip(&other.regions)
+                .all(|(a, b)| a.same_model(b))
     }
 
     fn region_of(&mut self, args: &[Value]) -> &mut RegionState {
@@ -346,6 +366,27 @@ impl RuntimeHooks for PredictionRuntime {
             }
         }
         None
+    }
+
+    /// A clone of the whole runtime; memo tables are shared, so this
+    /// copies pointers, not tables.
+    fn save_state(&self) -> Option<HookState> {
+        Some(Box::new(self.clone()))
+    }
+
+    /// Takes over a runtime saved by [`save_state`](Self::save_state) if
+    /// it was built as this one was — the same region plans,
+    /// configuration, state-fault target and installed model — so a
+    /// trial never resumes in state its own runtime could not have
+    /// reached.
+    fn restore_state(&mut self, state: &(dyn Any + Send + Sync)) -> bool {
+        match state.downcast_ref::<PredictionRuntime>() {
+            Some(saved) if self.same_build(saved) => {
+                self.clone_from(saved);
+                true
+            }
+            _ => false,
+        }
     }
 }
 
@@ -462,6 +503,119 @@ mod tests {
         rt.intrinsic(Intrinsic::RegionExit, &[r]);
         // With AR = 0 every interior with noise fails validation.
         assert!(rt.stats(0).recomputed > 5);
+    }
+
+    /// One memoizable region whose model memoizes `x in {0, 1} -> 5 + 100x`.
+    fn memo_model() -> (Vec<RegionInit>, TrainedModel) {
+        let mut trainer = rskip_predict::MemoTrainer::new(1);
+        for i in 0..1000 {
+            let x = (i % 2) as f64;
+            trainer.add_sample(&[x], 5.0 + x * 100.0);
+        }
+        let memo = trainer.build(&rskip_predict::MemoConfig {
+            table_bits: 6,
+            hist_bins: 32,
+        });
+        let regions = vec![RegionInit {
+            region: 0,
+            has_body: true,
+            memoizable: true,
+            acceptable_range: None,
+        }];
+        let mut model = TrainedModel::default();
+        model.regions.insert(
+            0,
+            crate::train::RegionModel {
+                qos: crate::QosTable::new(),
+                default_tp: 0.2,
+                memo: Some(memo),
+                trained_skip_rate: 0.0,
+            },
+        );
+        (regions, model)
+    }
+
+    /// Alternating values DI rejects and the memo predicts; returns the
+    /// region's counters.
+    fn alternate(rt: &mut PredictionRuntime) -> RegionStats {
+        let r = Value::I(0);
+        rt.intrinsic(Intrinsic::RegionEnter, &[r]);
+        for i in 0..200i64 {
+            let x = (i % 2) as f64;
+            let v = Value::F(5.0 + x * 100.0);
+            let args = [r, Value::I(i), Value::I(i), v, Value::F(x)];
+            rt.intrinsic(Intrinsic::Observe, &args);
+        }
+        rt.intrinsic(Intrinsic::RegionExit, &[r]);
+        rt.stats(0)
+    }
+
+    #[test]
+    fn a_memo_table_flip_stays_in_its_runtime() {
+        let (regions, model) = memo_model();
+        let json = model.to_json().expect("model serializes");
+        let config = RuntimeConfig::with_ar(0.1);
+        let hardened_config = RuntimeConfig {
+            harden: true,
+            ..config
+        };
+        let mut sibling = PredictionRuntime::with_model(&regions, config, &model);
+        let mut struck = PredictionRuntime::with_model(&regions, config, &model);
+        let mut hardened = PredictionRuntime::with_model(&regions, hardened_config, &model);
+        // Bit 62 of the `x = 0` entry: its prediction leaves the range.
+        for rt in [&mut struck, &mut hardened] {
+            rt.set_state_fault_target(Some(StateFaultTarget::MemoTable));
+            let site = rt.flip_runtime_state(62 << 32).expect("a populated entry");
+            assert!(site.contains("memo["), "site {site}");
+        }
+        assert_eq!(model.to_json().expect("model serializes"), json);
+
+        // The sibling predicts as a runtime over an unshared copy of the
+        // model does; the struck runtime does not.
+        let copy = TrainedModel::from_json(&json).expect("model round-trips");
+        let want = alternate(&mut PredictionRuntime::with_model(&regions, config, &copy));
+        assert!(want.skipped_memo > 50, "memo skips {}", want.skipped_memo);
+        assert_eq!(alternate(&mut sibling), want);
+        assert_ne!(alternate(&mut struck), want);
+
+        // The hardened runtime's shadow still holds the trained table,
+        // so its cross-check reports the disagreement.
+        alternate(&mut hardened);
+        assert!(hardened.total_metadata_detections() > 0);
+        assert_eq!(sibling.total_metadata_detections(), 0);
+    }
+
+    #[test]
+    fn a_runtime_restores_only_state_saved_by_a_runtime_built_alike() {
+        let (regions, model) = memo_model();
+        let config = RuntimeConfig::with_ar(0.1);
+        let mut ran = PredictionRuntime::with_model(&regions, config, &model);
+        let stats = alternate(&mut ran);
+        let saved = ran.save_state().expect("runtimes can be resumed");
+
+        let mut fresh = PredictionRuntime::with_model(&regions, config, &model);
+        assert!(fresh.restore_state(&*saved));
+        assert_eq!(fresh.stats(0), stats);
+
+        let di_only = RuntimeConfig {
+            enable_memo: false,
+            ..config
+        };
+        let copy = TrainedModel::from_json(&model.to_json().unwrap()).unwrap();
+        for mut other in [
+            PredictionRuntime::with_model(&regions, di_only, &model),
+            PredictionRuntime::with_model(&regions, RuntimeConfig::with_ar(0.2), &model),
+            PredictionRuntime::with_model(&regions, config, &copy),
+            PredictionRuntime::new(&regions, config),
+        ] {
+            assert!(!other.restore_state(&*saved));
+            assert_eq!(
+                other.stats(0).elements,
+                0,
+                "a refused state changes nothing"
+            );
+        }
+        assert!(!fresh.restore_state(&()));
     }
 
     #[test]
